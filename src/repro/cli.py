@@ -91,11 +91,12 @@ _FLAG_SPECS: dict[str, tuple[tuple[str, ...], dict]] = {
              "(skip), or drop and capture raw lines (quarantine)",
     )),
     "fast-path": (("--fast-path",), dict(
-        choices=[m.value for m in FastPath], default="auto",
-        help="ingest/enrich fast path: compiled row decoders plus the "
-             "per-certificate fact cache. Results are byte-identical "
-             "either way; 'off' is the reference path, 'auto' (default) "
-             "enables it",
+        # 'on'/'auto' are accepted as retired aliases of 'batch'.
+        choices=["off", "batch", "on", "auto"], default="batch",
+        metavar="{off,batch}",
+        help="ingest/enrich engine: 'batch' (default) is the vectorized "
+             "decoder plus the per-certificate fact cache, 'off' the "
+             "reference path. Results are byte-identical either way",
     )),
     "jobs": (("--jobs",), dict(
         type=int, default=0, metavar="N",
@@ -103,11 +104,12 @@ _FLAG_SPECS: dict[str, tuple[tuple[str, ...], dict]] = {
              "(0 = in-process sequential; tables are byte-identical)",
     )),
     "pipeline": (("--pipeline",), dict(
-        choices=["on", "off", "auto"], default="auto",
+        # 'auto' is accepted as a retired alias of 'on'.
+        choices=["on", "off", "auto"], default="on", metavar="{on,off}",
         help="intra-shard pipelining: decode ssl batches on a reader "
              "thread while the shard enriches/analyzes them (sharded "
-             "path only; results are byte-identical either way; 'auto' "
-             "(default) enables it whenever the source streams)",
+             "path only; results are byte-identical either way; 'on' "
+             "(default) applies whenever the source streams)",
     )),
     "store": (("--store",), dict(
         type=Path, default=None, metavar="DIR",
@@ -589,7 +591,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         fault_plan=fault_plan,
         resume_dir=args.resume,
         trace_path=args.trace,
-        pipeline=getattr(args, "pipeline", "auto"),
+        pipeline=getattr(args, "pipeline", None),
     )
     health = campaign.health
     run_metrics = campaign.metrics or core_metrics.MetricsRegistry()

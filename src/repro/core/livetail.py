@@ -128,7 +128,7 @@ class LogTailer:
         *,
         report: IngestReport | None = None,
         on_error: ErrorPolicy | str = ErrorPolicy.SKIP,
-        fast_path: FastPath | str | bool = FastPath.AUTO,
+        fast_path: FastPath | str | bool = FastPath.BATCH,
     ) -> None:
         self.directory = Path(directory)
         self.kind = kind
@@ -567,7 +567,7 @@ class LiveAnalysisEngine:
         *,
         rules: AssociationRules | None = None,
         max_fuid_map: int | None = None,
-        fast_path: FastPath | str | bool = FastPath.AUTO,
+        fast_path: FastPath | str | bool = FastPath.BATCH,
         min_interception_domains: int = 5,
         admission: AdmissionController | None = None,
     ) -> None:
@@ -812,7 +812,7 @@ class LiveTailDaemon:
         checkpoint_interval: float = 30.0,
         poll_interval: float = 0.05,
         on_error: ErrorPolicy | str = ErrorPolicy.SKIP,
-        fast_path: FastPath | str | bool = FastPath.AUTO,
+        fast_path: FastPath | str | bool = FastPath.BATCH,
         max_fuid_map: int | None = None,
         rules: AssociationRules | None = None,
         min_interception_domains: int = 5,

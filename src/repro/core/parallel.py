@@ -53,7 +53,6 @@ import hashlib
 import json
 import multiprocessing
 import pickle
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -78,13 +77,11 @@ from repro.core.supervisor import (
 )
 from repro.zeek.files import TsvDirectorySource
 from repro.zeek.ingest import (
-    _UNSET_ARG,
     ErrorPolicy,
     FastPath,
     IngestOptions,
     IngestReport,
     RecordSource,
-    resolve_ingest_options,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -126,11 +123,11 @@ class _ExecutorConfig:
     names: tuple[str, ...] | None
     #: Fast-path mode (stored as the enum's string value so the config
     #: pickles compactly to workers). Byte-identical either way.
-    fast_path: str = FastPath.AUTO.value
+    fast_path: str = FastPath.BATCH.value
     #: Intra-shard pipelining mode (string value, like ``fast_path``):
     #: stream decoded ssl batches into scan/enrich/analyze instead of
     #: loading a whole month first. Byte-identical either way.
-    pipeline: str = Pipeline.AUTO.value
+    pipeline: str = Pipeline.ON.value
     #: Process-level fault injection (tests / chaos drills only).
     fault_plan: object | None = None
     #: JSONL trace sink every worker configures for itself (optional).
@@ -676,20 +673,15 @@ class ShardExecutor:
         rules: AssociationRules | None = None,
         filter_interception: bool = True,
         min_interception_domains: int = 5,
-        on_error: object = _UNSET_ARG,
         names: tuple[str, ...] | None = None,
         jobs: int = 1,
         retry: RetryPolicy | None = None,
         degrade: DegradePolicy | str = DegradePolicy.STRICT,
         fault_plan=None,
         trace_path: str | Path | None = None,
-        fast_path: object = _UNSET_ARG,
-        pipeline: Pipeline | str | bool | None = Pipeline.AUTO,
+        pipeline: Pipeline | str | bool | None = Pipeline.ON,
     ) -> None:
-        opts = resolve_ingest_options(
-            options, caller="ShardExecutor",
-            on_error=on_error, fast_path=fast_path,
-        )
+        opts = IngestOptions.coerce(options)
         if trace_path is None:
             # Inherit the process's configured sink so `tracing.configure`
             # in the driver propagates into worker processes.
@@ -904,9 +896,9 @@ class ShardExecutor:
         The trust bundle is part of the identity; the CT log is not
         hashable in general and is assumed stable across a resume — as
         is the log content behind the source. ``fast_path`` and
-        ``pipeline`` are deliberately *excluded*: the fast/batch
-        decoders and the pipelined loader are byte-identical to the
-        reference path by contract, so a campaign may resume across a
+        ``pipeline`` are deliberately *excluded*: the batch engine and
+        the pipelined loader are byte-identical to the reference path
+        by contract, so a campaign may resume across a
         ``--fast-path`` or ``--pipeline`` flip without invalidating
         spilled shards.
         """
@@ -980,7 +972,7 @@ class ShardExecutor:
 
 def analyze_directory(
     directory: Path | str,
-    *legacy_positional,
+    *,
     bundle: "TrustBundle | None" = None,
     ct_log: CtLookup | None = None,
     options: IngestOptions | None = None,
@@ -988,7 +980,6 @@ def analyze_directory(
     rules: AssociationRules | None = None,
     filter_interception: bool = True,
     min_interception_domains: int = 5,
-    on_error: object = _UNSET_ARG,
     names: tuple[str, ...] | None = None,
     jobs: int = 1,
     retry: RetryPolicy | None = None,
@@ -996,47 +987,20 @@ def analyze_directory(
     fault_plan: "WorkerFaultPlan | None" = None,
     resume_dir: Path | str | None = None,
     trace_path: str | Path | None = None,
-    fast_path: object = _UNSET_ARG,
-    pipeline: Pipeline | str | bool | None = Pipeline.AUTO,
+    pipeline: Pipeline | str | bool | None = Pipeline.ON,
 ) -> CampaignResult:
     """One-call sharded analysis of a rotated Zeek archive.
 
-    ``bundle``/``ct_log`` are keyword-only and typed; the historical
-    positional form (``analyze_directory(dir, bundle, ct_log)``) still
-    works through a deprecation shim. With ``store``, the archive is
-    packed into a columnar store on first use and mapped from disk on
-    every later run (byte-identical results).
+    ``bundle``/``ct_log`` are keyword-only and typed. With ``store``,
+    the archive is packed into a columnar store on first use and mapped
+    from disk on every later run (byte-identical results).
     """
-    if legacy_positional:
-        if len(legacy_positional) > 2:
-            raise TypeError(
-                "analyze_directory takes at most three positional "
-                "arguments (directory, bundle, ct_log)"
-            )
-        if bundle is not None or (len(legacy_positional) > 1 and ct_log is not None):
-            raise TypeError(
-                "analyze_directory: bundle/ct_log passed both positionally "
-                "and by keyword"
-            )
-        warnings.warn(
-            "analyze_directory: positional bundle/ct_log are deprecated; "
-            "pass them as keywords",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        bundle = legacy_positional[0]
-        if len(legacy_positional) > 1:
-            ct_log = legacy_positional[1]
     if bundle is None:
         raise TypeError("analyze_directory: a trust bundle is required")
-    opts = resolve_ingest_options(
-        options, caller="analyze_directory",
-        on_error=on_error, fast_path=fast_path,
-    )
     executor = ShardExecutor(
         bundle,
         ct_log,
-        options=opts,
+        options=options,
         rules=rules,
         filter_interception=filter_interception,
         min_interception_domains=min_interception_domains,

@@ -7,7 +7,7 @@ record *batches* while the rest of the file is unread; this module adds
 the thread plumbing that lets a shard consume those batches while the
 reader is still decoding:
 
-- :class:`Pipeline` — the on/off/auto selector, mirroring
+- :class:`Pipeline` — the on/off selector, mirroring
   :class:`~repro.zeek.ingest.FastPath` (results are byte-identical
   either way; the selector only chooses the execution strategy).
 - :class:`BatchFeed` — a bounded producer/consumer feed: one daemon
@@ -38,26 +38,31 @@ class Pipeline(enum.Enum):
     """Intra-shard pipelining selector.
 
     ``off`` loads each shard serially (read everything, then compute);
-    ``on``/``auto`` stream ssl batches into the consuming phase through
-    a :class:`BatchFeed` whenever the record source supports streaming
-    (``stream_month``). Tables, reports, and error context are
-    byte-identical in every mode — pinned by tests/core/test_pipeline.py.
+    ``on`` (the default) streams ssl batches into the consuming phase
+    through a :class:`BatchFeed` whenever the record source supports
+    streaming (``stream_month``). Tables, reports, and error context
+    are byte-identical in both modes — pinned by
+    tests/core/test_pipeline.py.
     """
 
     ON = "on"
     OFF = "off"
-    AUTO = "auto"
 
     @classmethod
     def coerce(cls, value: "Pipeline | str | bool | None") -> "Pipeline":
+        # ``auto``/``None`` name the retired default; they survive here
+        # (and only here) so old scripts and configs still load.
         if isinstance(value, cls):
             return value
         if value is None:
-            return cls.AUTO
+            return cls.ON
         if isinstance(value, bool):
             return cls.ON if value else cls.OFF
+        text = str(value).lower()
+        if text == "auto":
+            return cls.ON
         try:
-            return cls(str(value).lower())
+            return cls(text)
         except ValueError:
             choices = ", ".join(m.value for m in cls)
             raise ValueError(
@@ -66,7 +71,7 @@ class Pipeline(enum.Enum):
 
     @property
     def enabled(self) -> bool:
-        return self is not Pipeline.OFF
+        return self is Pipeline.ON
 
 
 #: Bounded-queue depth: how many decoded batches may sit between the

@@ -159,10 +159,3 @@ def render_fsck(result) -> Table:
     if result.ok and not result.unverifiable:
         table.add_note("store verified: every file matches its checksums")
     return table
-
-
-def render_run_metrics(registry) -> Table:
-    """Run-metrics section: counters/gauges/histograms/timers from a
-    :class:`repro.core.metrics.MetricsRegistry` (duck-typed — only its
-    ``render()`` is used, keeping this module dependency-free)."""
-    return registry.render()

@@ -46,7 +46,7 @@ from repro.zeek import (
     read_x509_log,
     x509_log_to_string,
 )
-from repro.zeek.ingest import _UNSET_ARG, IngestOptions, resolve_ingest_options
+from repro.zeek.ingest import IngestOptions
 
 #: Snapshot schema tag; bump on incompatible layout changes.
 SNAPSHOT_FORMAT = "streaming-analyzer/v2"
@@ -100,7 +100,7 @@ class StreamingAnalyzer:
     when full, the oldest entries are evicted FIFO and any later ssl
     reference to an evicted fuid counts as ``dropped_dangling_fuid``.
 
-    ``fast_path`` controls the per-certificate fact cache (results are
+    ``options.fast_path`` controls the per-certificate fact cache (results are
     identical either way; the cache only skips recomputing the public-CA
     predicate for fingerprints already seen). Its contents and stats
     ride along in snapshots, so a resumed run's cache behaviour — and
@@ -114,12 +114,9 @@ class StreamingAnalyzer:
         *,
         options: IngestOptions | None = None,
         max_fuid_map: int | None = None,
-        fast_path: object = _UNSET_ARG,
         keep_records: bool = False,
     ) -> None:
-        opts = resolve_ingest_options(
-            options, caller="StreamingAnalyzer", fast_path=fast_path
-        )
+        opts = IngestOptions.coerce(options)
         if max_fuid_map is not None and max_fuid_map <= 0:
             raise ValueError("max_fuid_map must be positive (or None)")
         self.bundle = bundle
@@ -295,7 +292,7 @@ class StreamingAnalyzer:
         fast_path = (
             FastPath.OFF
             if "certfacts" in snapshot and certfacts is None
-            else FastPath.AUTO
+            else FastPath.BATCH
         )
         analyzer = cls(
             bundle,

@@ -52,7 +52,7 @@ import struct
 import sys
 import zlib
 from array import array
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.zeek.records import SslRecord, X509Record
 
@@ -543,8 +543,3 @@ class ColumnTable:
             set_(record, "__dict__", dict(zip(names, values)))
             append(record)
         return out
-
-
-def pack_records(kind: str, records: Iterable) -> bytes:
-    """Convenience wrapper accepting any iterable."""
-    return pack_table(kind, list(records))

@@ -16,13 +16,7 @@ from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
 from repro.zeek.builder import ZeekLogs
-from repro.zeek.ingest import (
-    _UNSET_ARG,
-    IngestOptions,
-    IngestReport,
-    ShardRecords,
-    resolve_ingest_options,
-)
+from repro.zeek.ingest import IngestOptions, IngestReport, ShardRecords
 from repro.zeek.records import SslRecord, X509Record
 from repro.zeek.tsv import (
     TsvFormatError,
@@ -117,10 +111,6 @@ def discover_shards(directory: Path | str) -> list[tuple[str, list[Path], list[P
 def read_logs_directory(
     directory: Path | str,
     options: IngestOptions | None = None,
-    *,
-    on_error: object = _UNSET_ARG,
-    report: object = _UNSET_ARG,
-    fast_path: object = _UNSET_ARG,
 ) -> ZeekLogs:
     """Load every rotated ssl/x509 log file from a directory.
 
@@ -129,13 +119,9 @@ def read_logs_directory(
     log files at all. Under the ``skip``/``quarantine`` policies,
     malformed rows are dropped and accounted for in ``options.report``;
     pass an :class:`~repro.zeek.ingest.IngestOptions` with a report to
-    collect them. The ``on_error``/``report``/``fast_path`` keywords are
-    deprecated shims for the pre-options signature.
+    collect them.
     """
-    opts = resolve_ingest_options(
-        options, caller="read_logs_directory",
-        on_error=on_error, report=report, fast_path=fast_path,
-    )
+    opts = IngestOptions.coerce(options)
     directory = Path(directory)
     ssl_paths = list(directory.glob("ssl.*.log")) + list(directory.glob("ssl.*.log.gz"))
     x509_paths = list(directory.glob("x509.*.log")) + list(

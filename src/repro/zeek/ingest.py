@@ -17,7 +17,6 @@ what fraction of the input it consumed.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
@@ -56,26 +55,27 @@ class ErrorPolicy(str, enum.Enum):
 class FastPath(str, enum.Enum):
     """Which decode engine readers and enrichers use.
 
-    ``off`` forces the reference per-field implementation; ``on`` the
-    compiled per-row fast path (PR 5); ``batch`` the vectorized
-    whole-buffer engine that decodes columns in bulk. ``auto`` resolves
-    to the library default (currently *batch*). All engines are proven
-    byte-identical by ``tests/differential``, so the modes exist only as
-    operator escape hatches and as differential baselines — never as
-    semantic switches.
+    ``off`` forces the reference per-field implementation; ``batch``
+    (the default) the vectorized whole-buffer engine that decodes
+    columns in bulk, plus the per-certificate fact cache. Both are
+    proven byte-identical by ``tests/differential``, so ``off`` exists
+    only as an operator escape hatch and as the differential baseline —
+    never as a semantic switch.
     """
 
-    ON = "on"
     OFF = "off"
-    AUTO = "auto"
     BATCH = "batch"
 
     @classmethod
     def coerce(cls, value: "FastPath | str | bool") -> "FastPath":
+        # ``on``/``auto``/``True`` name retired engines; they survive
+        # here (and only here) so old checkpoints and scripts still load.
         if isinstance(value, cls):
             return value
         if isinstance(value, bool):
-            return cls.ON if value else cls.OFF
+            return cls.BATCH if value else cls.OFF
+        if value in ("on", "auto"):
+            return cls.BATCH
         try:
             return cls(value)
         except ValueError:
@@ -86,13 +86,7 @@ class FastPath(str, enum.Enum):
 
     @property
     def enabled(self) -> bool:
-        return self is not FastPath.OFF
-
-    @property
-    def batched(self) -> bool:
-        """Whether readers use the vectorized whole-buffer engine
-        (``auto`` promotes to batch; ``on`` keeps the per-row path)."""
-        return self in (FastPath.BATCH, FastPath.AUTO)
+        return self is FastPath.BATCH
 
 
 @dataclass(frozen=True)
@@ -289,25 +283,20 @@ class IngestReport:
 # The unified ingestion surface: one options object, one source protocol
 # ---------------------------------------------------------------------------
 
-#: Sentinel distinguishing "caller did not pass this legacy kwarg" from
-#: every real value (None included).
-_UNSET_ARG = object()
-
 
 @dataclass(frozen=True)
 class IngestOptions:
     """Everything a reader needs to know about *how* to ingest.
 
-    Collapses the ``on_error``/``report``/``path``/``fast_path`` keyword
-    sprawl that used to be duplicated across every reader and pipeline
-    entry point: construct one options object, hand it to any of them.
+    Construct one options object and hand it to any reader or pipeline
+    entry point.
 
     ``report`` and ``path`` are per-stream concerns; use :meth:`for_path`
     to derive a stream-specific variant from a shared base.
     """
 
     on_error: ErrorPolicy = ErrorPolicy.STRICT
-    fast_path: FastPath = FastPath.AUTO
+    fast_path: FastPath = FastPath.BATCH
     report: IngestReport | None = None
     path: str | None = None
     #: Read-buffer size for the batch engine (``None`` = library
@@ -337,49 +326,8 @@ class IngestOptions:
     def identity(self) -> dict[str, str]:
         """The fingerprint-relevant fields (``report``/``path`` are
         per-stream context, not identity; ``fast_path`` is excluded
-        because the two decoders are byte-identical by contract)."""
+        because both engines are byte-identical by contract)."""
         return {"on_error": self.on_error.value}
-
-
-def resolve_ingest_options(
-    options: "IngestOptions | None",
-    *,
-    caller: str,
-    on_error: object = _UNSET_ARG,
-    report: object = _UNSET_ARG,
-    path: object = _UNSET_ARG,
-    fast_path: object = _UNSET_ARG,
-) -> IngestOptions:
-    """Shim glue for the pre-``IngestOptions`` keyword signatures.
-
-    Explicitly-passed legacy kwargs still work but raise a
-    :class:`DeprecationWarning` naming the caller; they may not be mixed
-    with an explicit ``options`` object (ambiguous intent).
-    """
-    legacy = {
-        name: value
-        for name, value in (
-            ("on_error", on_error),
-            ("report", report),
-            ("path", path),
-            ("fast_path", fast_path),
-        )
-        if value is not _UNSET_ARG
-    }
-    if not legacy:
-        return IngestOptions.coerce(options)
-    if options is not None:
-        raise TypeError(
-            f"{caller}: pass either an IngestOptions object or the legacy "
-            f"keywords ({', '.join(sorted(legacy))}), not both"
-        )
-    warnings.warn(
-        f"{caller}: the {', '.join(sorted(legacy))} keyword(s) are "
-        "deprecated; pass an IngestOptions object instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return IngestOptions(**legacy)
 
 
 @dataclass

@@ -29,12 +29,10 @@ import sys as _sys
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from repro.zeek.ingest import (
-    _UNSET_ARG,
     ErrorPolicy,
     FastPath,
     IngestOptions,
     IngestReport,
-    resolve_ingest_options,
 )
 from repro.zeek.records import SslRecord, X509Record
 
@@ -282,19 +280,19 @@ _X509_PARSERS: list[tuple[str, Callable]] = [
 
 
 # ---------------------------------------------------------------------------
-# Fast path: compiled per-schema row decoders
+# Fast converters and the compiled row decoder
 #
 # The slow path above is the executable reference spec: one parser call
-# per field, dispatched through `_LogReader._handle_row`. The fast path
-# compiles the whole row decode into a single generated function (one
-# dict literal, one bound converter per column) and memoizes the
-# converters for high-repetition columns (versions, ciphers, issuer
-# DNs, ports, validity timestamps). Every converter below is
-# value-for-value identical to its slow counterpart — the differential
-# suite (`tests/differential/`) proves it on clean, corrupt, and
-# adversarial input — and any anomaly at decode time falls back to the
-# slow `_handle_row`, so errors and IngestReport accounting are
-# byte-identical by construction.
+# per field, dispatched through `_LogReader._handle_row`. The batch
+# engine below swaps in fast converters and memoizes those for
+# high-repetition columns (versions, ciphers, issuer DNs, ports,
+# validity timestamps). Every converter is value-for-value identical to
+# its slow counterpart — the differential suite (`tests/differential/`)
+# proves it on clean, corrupt, and adversarial input. The compiled row
+# decoder is the batch engine's replay tier: a run the bulk decoder
+# rejects is re-decoded row by row through it, and any row *it* rejects
+# falls back to the slow `_handle_row`, so errors and IngestReport
+# accounting are byte-identical by construction.
 # ---------------------------------------------------------------------------
 
 #: Bound on each memoized converter's cache. The cache is *cleared* (not
@@ -494,17 +492,15 @@ def _compile_decoder(
 # ---------------------------------------------------------------------------
 # Batch engine: whole-buffer splitting + columnar bulk decode
 #
-# The next tier past the compiled row decoder: read the stream in large
-# chunks, split record boundaries once per chunk, and decode *columns*
-# in bulk — a run of same-shaped rows is flattened with one
-# `"\t".join(run).split("\t")` and each column is materialized as a
-# zero-copy stride slice pushed through one C-level `map` (or one
-# set-deduplicated memo fill) per column. Only then are records
-# assembled, so a failing run leaves the output untouched and replays
-# row-by-row through the reference `_handle_row` path — errors,
-# IngestReport accounting, and quarantine stay byte-identical by
-# construction (proven by tests/differential and the splitter property
-# suite).
+# Read the stream in large chunks, split record boundaries once per
+# chunk, and decode *columns* in bulk — a run of same-shaped rows is
+# flattened with one `"\t".join(run).split("\t")` and each column is
+# materialized as a zero-copy stride slice pushed through one C-level
+# `map` (or one set-deduplicated memo fill) per column. Only then are
+# records assembled, so a failing run leaves the output untouched and
+# replays row by row (`_LogReader._replay_run`) — errors, IngestReport
+# accounting, and quarantine stay byte-identical by construction
+# (proven by tests/differential and the splitter property suite).
 # ---------------------------------------------------------------------------
 
 #: Default read-buffer size for the batch engine. Output is invariant
@@ -695,48 +691,54 @@ def write_x509_log(records: Iterable[X509Record], out: TextIO) -> None:
     out.write("#close\n")
 
 
+#: kind -> (fields, reference parsers, record class, fast converters).
+_SCHEMAS: dict[str, tuple] = {
+    "ssl": (_SSL_FIELDS, _SSL_PARSERS, SslRecord, _ssl_fast_converters),
+    "x509": (_X509_FIELDS, _X509_PARSERS, X509Record, _x509_fast_converters),
+}
+
+
 class _LogReader:
-    """One pass over one log stream under one error policy."""
+    """One pass over one log stream under one error policy.
+
+    ``batched`` selects the batch engine; without it no decoder is ever
+    compiled and every row goes through the reference `_handle_row`.
+    """
 
     def __init__(
         self,
-        expected_path: str,
-        fields: list[tuple[str, str]],
-        parsers: list[tuple[str, Callable]],
-        factory: Callable,
+        kind: str,
         policy: ErrorPolicy,
         report: IngestReport | None,
         path: str | None,
         *,
-        fast: bool = False,
-        fast_converters: Callable[[], list[tuple[str, Callable | None]]] | None = None,
-        batched: bool = False,
+        batched: bool,
         chunk_chars: int | None = None,
     ) -> None:
-        self.expected_path = expected_path
+        try:
+            fields, parsers, factory, converters = _SCHEMAS[kind]
+        except KeyError:
+            raise ValueError(f"unknown log kind {kind!r}") from None
+        self.expected_path = kind
         self.field_names = [name for name, _ in fields]
         self.parsers = parsers
         self.factory = factory
         self.policy = policy
         self.report = report if report is not None else IngestReport()
-        self.path = path or f"<{expected_path}.log>"
+        self.path = path or f"<{kind}.log>"
         #: expected-index -> seen-index remap for reordered headers.
         self.permutation: list[int] | None = None
         self.saw_fields = False
         self.header_usable = False
         self.path_rejected = False
         self.saw_close = False
-        self.fast = fast and fast_converters is not None
-        #: Batch (columnar) engine; requires the fast converters too —
-        #: the replay path for anomalous runs is the compiled row decoder.
-        self.batched = batched and self.fast
+        self.batched = batched
         self.chunk_chars = chunk_chars
-        self._fast_converters = fast_converters
-        #: column-order key -> compiled decoder (one per permutation).
-        self._decoders: dict[tuple[int, ...] | None, Callable] = {}
-        self._batch_decoders: dict[tuple[int, ...] | None, Callable] = {}
-        #: column-order key -> that batch decoder's memos (test hook).
-        self._batch_memos: dict[tuple[int, ...] | None, list[_Memo]] = {}
+        self._fast_converters = converters
+        #: column-order key -> the converters both decoders share.
+        self._converters: dict[tuple[int, ...] | None, list] = {}
+        #: (column-order key, row?) -> compiled decoder.
+        self._decoders: dict[tuple, Callable] = {}
 
     # ------------------------------------------------------------------ helpers
 
@@ -772,6 +774,15 @@ class _LogReader:
         if len(cells) < n:
             return self.field_names[len(cells)]
         return self.field_names[-1]
+
+    def _end_of_file(self) -> None:
+        """Per-file accounting once a stream is exhausted."""
+        if not self.saw_close:
+            self.report.files_missing_close += 1
+            self.report.record_header_issue(
+                path=self.path, line_number=0, category="missing-close",
+                reason="no #close footer (writer crashed mid-rotation?)",
+            )
 
     # ------------------------------------------------------------------- header
 
@@ -905,16 +916,8 @@ class _LogReader:
                 records.extend(batch)
             return records
         self.report.files_read += 1
-        if self.fast:
-            records = self._read_fast(source)
-        else:
-            records = self._read_slow(source)
-        if not self.saw_close:
-            self.report.files_missing_close += 1
-            self.report.record_header_issue(
-                path=self.path, line_number=0, category="missing-close",
-                reason="no #close footer (writer crashed mid-rotation?)",
-            )
+        records = self._read_slow(source)
+        self._end_of_file()
         return records
 
     def _read_slow(self, source: TextIO) -> list:
@@ -932,88 +935,26 @@ class _LogReader:
                 records.append(record)
         return records
 
-    def _decoder_for_state(self) -> Callable[[list[str]], object] | None:
-        """The compiled decoder for the current header state, or None
-        when rows cannot be fast-decoded (no usable #fields yet)."""
-        if not (self.saw_fields and self.header_usable):
-            return None
-        key = tuple(self.permutation) if self.permutation is not None else None
-        decoder = self._decoders.get(key)
-        if decoder is None:
-            decoder = self._decoders[key] = _compile_decoder(
-                self.factory, self._fast_converters(), self.permutation
-            )
-        return decoder
-
-    def _read_fast(self, source: TextIO) -> list:
-        """Whole-stream decode through the compiled per-schema decoder.
-
-        Any anomaly — unusable header state, wrong cell count, converter
-        failure, truncated final line — replays that row through the
-        slow `_handle_row`, which produces byte-identical records,
-        errors, and IngestReport accounting. Successful decodes are
-        counted in a batch and flushed in ``finally`` so a strict-policy
-        raise leaves the report exactly as the slow path would.
-        """
-        lines = source.read().split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-            last_complete = True
-        else:
-            last_complete = False
-        #: Highest line number that is a *complete* line.
-        limit = len(lines) if last_complete else len(lines) - 1
-        records: list = []
-        append = records.append
-        expected = len(self.field_names)
-        decode = self._decoder_for_state()
-        ok = 0
-        try:
-            for line_number, line in enumerate(lines, start=1):
-                if not line:
-                    continue
-                if line[0] == "#":
-                    self._handle_header(line, line_number)
-                    decode = self._decoder_for_state()
-                    continue
-                if decode is not None and line_number <= limit:
-                    cells = line.split("\t")
-                    if len(cells) == expected:
-                        try:
-                            record = decode(cells)
-                        except Exception:
-                            record = self._handle_row(line, line_number, True)
-                            if record is not None:
-                                append(record)
-                            continue
-                        append(record)
-                        ok += 1
-                        continue
-                record = self._handle_row(line, line_number, line_number <= limit)
-                if record is not None:
-                    append(record)
-        finally:
-            self.report.rows_ok += ok
-        return records
-
     # ------------------------------------------------------------- batch engine
 
-    def _batch_decoder_for_state(self) -> Callable[[list[str]], list] | None:
-        """The columnar run decoder for the current header state, or
-        None when rows cannot be batch-decoded (no usable #fields)."""
-        if not (self.saw_fields and self.header_usable):
+    def _decoder_for_state(self, row: bool = False) -> Callable | None:
+        """The compiled run decoder — or with ``row``, the row decoder
+        that replays rejected runs — for the current header state; None
+        when rows cannot be compiled-decoded (reference engine, or no
+        usable #fields yet). Each is compiled on first use; both share
+        one set of converters."""
+        if not (self.batched and self.saw_fields and self.header_usable):
             return None
-        key = tuple(self.permutation) if self.permutation is not None else None
-        decoder = self._batch_decoders.get(key)
+        order = tuple(self.permutation) if self.permutation is not None else None
+        decoder = self._decoders.get((order, row))
         if decoder is None:
-            converters = self._fast_converters()
-            decoder = self._batch_decoders[key] = _compile_batch_decoder(
+            converters = self._converters.get(order)
+            if converters is None:
+                converters = self._converters[order] = self._fast_converters()
+            compile_decoder = _compile_decoder if row else _compile_batch_decoder
+            decoder = self._decoders[order, row] = compile_decoder(
                 self.factory, converters, self.permutation
             )
-            self._batch_memos[key] = [
-                convert for _, convert in converters
-                if isinstance(convert, _Memo)
-            ]
         return decoder
 
     def _flush_run(
@@ -1026,27 +967,26 @@ class _LogReader:
         instead of one tab count per line); any mismatch — or any
         converter failure — replays the run row by row.
         """
-        if decode is None:
-            self._replay_run(run, start, records)
-            return
-        try:
-            batch = decode("\t".join(run).split("\t"), len(run))
-        except Exception:
-            self._replay_run(run, start, records)
-            return
-        if batch is None:  # shape mismatch somewhere in the run
+        batch = None
+        if decode is not None:
+            try:
+                batch = decode("\t".join(run).split("\t"), len(run))
+            except Exception:
+                pass  # replayed below
+        if batch is None:  # no decoder, converter failure, shape mismatch
             self._replay_run(run, start, records)
             return
         records.extend(batch)
         self.report.rows_ok += len(run)
 
     def _replay_run(self, run: list[str], start: int, records: list) -> None:
-        """A run the bulk decoder rejected, replayed row by row through
-        the compiled row decoder with the reference `_handle_row`
-        fallback — errors, drops, and quarantine match the per-row fast
-        path exactly (``ok`` flushed in ``finally`` so a strict-policy
-        raise leaves the report as the reference path would)."""
-        decode = self._decoder_for_state()
+        """A run replayed row by row: through the compiled row decoder
+        when there is one, with the reference `_handle_row` for every
+        row it cannot decode — so errors, drops, and quarantine match
+        the reference path exactly (``ok`` flushed in ``finally`` so a
+        strict-policy raise leaves the report as the reference path
+        would)."""
+        decode = self._decoder_for_state(row=True)
         append = records.append
         expected = len(self.field_names)
         ok = 0
@@ -1085,7 +1025,7 @@ class _LogReader:
         line-at-a-time reading. Returns the line number of the last
         line processed.
         """
-        decode = self._batch_decoder_for_state()
+        decode = self._decoder_for_state()
         specials = [
             index for index, line in enumerate(lines)
             if not line or line[0] == "#"
@@ -1100,7 +1040,7 @@ class _LogReader:
             line = lines[index]
             if line:
                 self._handle_header(line, line_number + index + 1)
-                decode = self._batch_decoder_for_state()
+                decode = self._decoder_for_state()
             cursor = index + 1
         if cursor < len(lines):
             self._flush_run(
@@ -1147,7 +1087,7 @@ class _LogReader:
             if gc_was_enabled:
                 _gc.disable()
             try:
-                decode = self._batch_decoder_for_state()
+                decode = self._decoder_for_state()
                 batch = None
                 if (
                     decode is not None
@@ -1189,91 +1129,37 @@ class _LogReader:
                 record = self._handle_row(pending, line_number, False)
                 if record is not None:
                     yield [record]
-        if not self.saw_close:
-            self.report.files_missing_close += 1
-            self.report.record_header_issue(
-                path=self.path, line_number=0, category="missing-close",
-                reason="no #close footer (writer crashed mid-rotation?)",
-            )
+        self._end_of_file()
+
+
+def _open_reader(kind: str, source: TextIO, opts: IngestOptions) -> _LogReader:
+    return _LogReader(
+        kind, opts.on_error, opts.report,
+        opts.path or getattr(source, "name", None),
+        batched=opts.fast_path.enabled,
+        chunk_chars=opts.batch_chunk_chars,
+    )
 
 
 def read_ssl_log(
-    source: TextIO,
-    options: IngestOptions | None = None,
-    *,
-    on_error: object = _UNSET_ARG,
-    report: object = _UNSET_ARG,
-    path: object = _UNSET_ARG,
-    fast_path: object = _UNSET_ARG,
+    source: TextIO, options: IngestOptions | None = None
 ) -> list[SslRecord]:
     """Parse a Zeek-format ssl.log stream under :class:`IngestOptions`.
 
-    ``options.fast_path`` selects the compiled decoder (``on``/``auto``)
-    or the reference per-field implementation (``off``); both produce
-    byte-identical records, errors, and reports. The ``on_error`` /
-    ``report`` / ``path`` / ``fast_path`` keywords are deprecated shims
-    for the pre-options signature.
+    ``options.fast_path`` selects the batch engine (``batch``) or the
+    reference per-field implementation (``off``); both produce
+    byte-identical records, errors, and reports.
     """
-    opts = resolve_ingest_options(
-        options, caller="read_ssl_log",
-        on_error=on_error, report=report, path=path, fast_path=fast_path,
-    )
-    reader = _LogReader(
-        "ssl", _SSL_FIELDS, _SSL_PARSERS, SslRecord,
-        opts.on_error, opts.report,
-        opts.path or getattr(source, "name", None),
-        fast=opts.fast_path.enabled,
-        fast_converters=_ssl_fast_converters,
-        batched=opts.fast_path.batched,
-        chunk_chars=opts.batch_chunk_chars,
-    )
-    return reader.read(source)
+    opts = IngestOptions.coerce(options)
+    return _open_reader("ssl", source, opts).read(source)
 
 
 def read_x509_log(
-    source: TextIO,
-    options: IngestOptions | None = None,
-    *,
-    on_error: object = _UNSET_ARG,
-    report: object = _UNSET_ARG,
-    path: object = _UNSET_ARG,
-    fast_path: object = _UNSET_ARG,
+    source: TextIO, options: IngestOptions | None = None
 ) -> list[X509Record]:
-    """Parse a Zeek-format x509.log stream under :class:`IngestOptions`.
-
-    ``options.fast_path`` selects the compiled decoder (``on``/``auto``)
-    or the reference per-field implementation (``off``); both produce
-    byte-identical records, errors, and reports. The ``on_error`` /
-    ``report`` / ``path`` / ``fast_path`` keywords are deprecated shims
-    for the pre-options signature.
-    """
-    opts = resolve_ingest_options(
-        options, caller="read_x509_log",
-        on_error=on_error, report=report, path=path, fast_path=fast_path,
-    )
-    reader = _LogReader(
-        "x509", _X509_FIELDS, _X509_PARSERS, X509Record,
-        opts.on_error, opts.report,
-        opts.path or getattr(source, "name", None),
-        fast=opts.fast_path.enabled,
-        fast_converters=_x509_fast_converters,
-        batched=opts.fast_path.batched,
-        chunk_chars=opts.batch_chunk_chars,
-    )
-    return reader.read(source)
-
-
-def _batch_reader(kind: str, source: TextIO, opts: IngestOptions) -> _LogReader:
-    fields, parsers, factory, converters = TailDecoder._SCHEMAS[kind]
-    return _LogReader(
-        kind, fields, parsers, factory,
-        opts.on_error, opts.report,
-        opts.path or getattr(source, "name", None),
-        fast=opts.fast_path.enabled,
-        fast_converters=converters,
-        batched=opts.fast_path.batched,
-        chunk_chars=opts.batch_chunk_chars,
-    )
+    """Parse a Zeek-format x509.log stream; see :func:`read_ssl_log`."""
+    opts = IngestOptions.coerce(options)
+    return _open_reader("x509", source, opts).read(source)
 
 
 def iter_ssl_log_batches(
@@ -1282,23 +1168,11 @@ def iter_ssl_log_batches(
     """Decoded ssl.log record batches, one per read buffer.
 
     The pipelined-ingest entry point: batches stream out while the rest
-    of the file is still unread. Under a non-batched ``fast_path`` mode
-    the whole stream is yielded as a single batch, so consumers work —
-    and stay byte-identical — under every mode.
+    of the file is still unread. Under ``fast_path="off"`` the whole
+    stream is yielded as a single batch, so consumers work — and stay
+    byte-identical — under both engines.
     """
-    opts = IngestOptions.coerce(options)
-    reader = _batch_reader("ssl", source, opts)
-    if reader.batched:
-        return reader.iter_batches(source)
-    return iter((reader.read(source),))
-
-
-def iter_x509_log_batches(
-    source: TextIO, options: IngestOptions | None = None
-) -> Iterator[list[X509Record]]:
-    """Decoded x509.log record batches; see :func:`iter_ssl_log_batches`."""
-    opts = IngestOptions.coerce(options)
-    reader = _batch_reader("x509", source, opts)
+    reader = _open_reader("ssl", source, IngestOptions.coerce(options))
     if reader.batched:
         return reader.iter_batches(source)
     return iter((reader.read(source),))
@@ -1310,8 +1184,8 @@ class TailDecoder:
     Built for tailing a file that is still being written: feed arbitrary
     chunks of text as they become readable and complete lines are
     decoded immediately — through the same header handling, error
-    policy, fast path, and :class:`IngestReport` accounting as the batch
-    readers. An unterminated trailing line (a mid-write read) is
+    policy, decode engine, and :class:`IngestReport` accounting as the
+    whole-file readers. An unterminated trailing line (a mid-write read) is
     *buffered*, never dropped or miscounted; it decodes once its newline
     arrives in a later chunk. Only :meth:`finish` — called when the file
     instance truly ends (rotation drained, truncation, writer gone) —
@@ -1326,11 +1200,6 @@ class TailDecoder:
     file when it was first opened.
     """
 
-    _SCHEMAS: dict[str, tuple] = {
-        "ssl": (_SSL_FIELDS, _SSL_PARSERS, SslRecord, _ssl_fast_converters),
-        "x509": (_X509_FIELDS, _X509_PARSERS, X509Record, _x509_fast_converters),
-    }
-
     def __init__(
         self,
         kind: str,
@@ -1338,22 +1207,14 @@ class TailDecoder:
         on_error: ErrorPolicy | str = ErrorPolicy.STRICT,
         report: IngestReport | None = None,
         path: str | None = None,
-        fast_path: FastPath | str | bool = FastPath.AUTO,
+        fast_path: FastPath | str | bool = FastPath.BATCH,
         count_file: bool = True,
     ) -> None:
-        try:
-            fields, parsers, factory, converters = self._SCHEMAS[kind]
-        except KeyError:
-            raise ValueError(f"unknown log kind {kind!r}") from None
-        self.kind = kind
-        mode = FastPath.coerce(fast_path)
         self._reader = _LogReader(
-            kind, fields, parsers, factory,
-            ErrorPolicy.coerce(on_error), report, path,
-            fast=mode.enabled,
-            fast_converters=converters,
-            batched=mode.batched,
+            kind, ErrorPolicy.coerce(on_error), report, path,
+            batched=FastPath.coerce(fast_path).enabled,
         )
+        self.kind = kind
         if count_file:
             self._reader.report.files_read += 1
         self._pending = ""
@@ -1385,45 +1246,10 @@ class TailDecoder:
             return []
         lines = (self._pending + chunk).split("\n")
         self._pending = lines.pop()
-        reader = self._reader
         records: list = []
-        if reader.batched:
-            self._line_number = reader._decode_lines_batched(
-                lines, self._line_number, records
-            )
-            return records
-        append = records.append
-        expected = len(reader.field_names)
-        decode = reader._decoder_for_state() if reader.fast else None
-        ok = 0
-        try:
-            for line in lines:
-                self._line_number += 1
-                if not line:
-                    continue
-                if line[0] == "#":
-                    reader._handle_header(line, self._line_number)
-                    if reader.fast:
-                        decode = reader._decoder_for_state()
-                    continue
-                if decode is not None:
-                    cells = line.split("\t")
-                    if len(cells) == expected:
-                        try:
-                            record = decode(cells)
-                        except Exception:
-                            record = reader._handle_row(line, self._line_number, True)
-                            if record is not None:
-                                append(record)
-                            continue
-                        append(record)
-                        ok += 1
-                        continue
-                record = reader._handle_row(line, self._line_number, True)
-                if record is not None:
-                    append(record)
-        finally:
-            reader.report.rows_ok += ok
+        self._line_number = self._reader._decode_lines_batched(
+            lines, self._line_number, records
+        )
         return records
 
     def finish(self) -> list:
@@ -1445,12 +1271,7 @@ class TailDecoder:
                 record = reader._handle_row(line, self._line_number, False)
                 if record is not None:
                     records.append(record)
-        if not reader.saw_close:
-            reader.report.files_missing_close += 1
-            reader.report.record_header_issue(
-                path=reader.path, line_number=0, category="missing-close",
-                reason="no #close footer (writer crashed mid-rotation?)",
-            )
+        reader._end_of_file()
         return records
 
     def state_dict(self) -> dict:

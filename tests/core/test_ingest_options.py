@@ -1,13 +1,12 @@
-"""IngestOptions / RecordSource API: shims, warnings, and coercion."""
+"""IngestOptions / RecordSource API: coercion and signatures."""
 
 import io
 import warnings
 
 import pytest
 
-from repro.core.parallel import ShardExecutor, analyze_directory
-from repro.core.streaming import StreamingAnalyzer
-from repro.core.study import CampusStudy
+from repro.core.parallel import analyze_directory
+from repro.core.pipeline import Pipeline
 from repro.netsim import ScenarioConfig, TrafficGenerator
 from repro.zeek import (
     ErrorPolicy,
@@ -38,6 +37,18 @@ class TestIngestOptions:
         options = IngestOptions(on_error="skip", fast_path="off")
         assert options.on_error is ErrorPolicy.SKIP
         assert options.fast_path is FastPath.OFF
+        assert list(FastPath) == [FastPath.OFF, FastPath.BATCH]
+        # Retired modes are aliases, accepted by coerce only.
+        for alias in ("on", "auto", True, "batch"):
+            assert IngestOptions(fast_path=alias).fast_path is FastPath.BATCH
+        assert FastPath.coerce(False) is FastPath.OFF
+        for alias in ("auto", None, "on", True):
+            assert Pipeline.coerce(alias) is Pipeline.ON
+        assert Pipeline.coerce(False) is Pipeline.OFF
+        with pytest.raises(ValueError, match="off, batch"):
+            FastPath.coerce("sideways")
+        with pytest.raises(ValueError, match="on, off"):
+            Pipeline.coerce("sideways")
 
     def test_for_path_keeps_policies(self):
         report = IngestReport()
@@ -48,7 +59,7 @@ class TestIngestOptions:
         assert derived.report is report
 
     def test_identity_excludes_fast_path(self):
-        fast = IngestOptions(fast_path="on")
+        fast = IngestOptions(fast_path="batch")
         slow = IngestOptions(fast_path="off")
         assert fast.identity() == slow.identity()
         assert IngestOptions(on_error="skip").identity() != fast.identity()
@@ -61,66 +72,13 @@ class TestIngestOptions:
 
 
 class TestReaderShims:
-    def test_legacy_kwargs_warn_and_match(self, ssl_text):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = read_ssl_log(io.StringIO(ssl_text), on_error="skip")
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "read_ssl_log" in str(w.message)
-            for w in caught
-        )
-        current = read_ssl_log(
-            io.StringIO(ssl_text), IngestOptions(on_error="skip")
-        )
-        assert legacy == current
-
     def test_options_path_is_silent(self, ssl_text):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             read_ssl_log(io.StringIO(ssl_text), IngestOptions())
 
-    def test_mixing_options_and_kwargs_rejected(self, ssl_text):
-        with pytest.raises(TypeError, match="not both"):
-            read_ssl_log(
-                io.StringIO(ssl_text), IngestOptions(), on_error="skip"
-            )
-
-
-class TestPipelineShims:
-    def test_streaming_analyzer_fast_path_kwarg_warns(self, simulation):
-        with pytest.deprecated_call(match="StreamingAnalyzer"):
-            analyzer = StreamingAnalyzer(
-                simulation.trust_bundle, fast_path="off"
-            )
-        assert analyzer.fast_path is FastPath.OFF
-
-    def test_campus_study_on_error_kwarg_warns(self):
-        with pytest.deprecated_call(match="CampusStudy"):
-            study = CampusStudy(
-                seed=1, months=1, connections_per_month=10, on_error="skip"
-            )
-        assert study.options.on_error is ErrorPolicy.SKIP
-
-    def test_shard_executor_kwarg_warns(self, simulation):
-        with pytest.deprecated_call(match="ShardExecutor"):
-            executor = ShardExecutor(
-                simulation.trust_bundle, on_error="quarantine"
-            )
-        assert executor.config.on_error is ErrorPolicy.QUARANTINE
-
 
 class TestAnalyzeDirectorySignature:
-    def test_positional_bundle_warns(self, simulation, tmp_path):
-        from repro.zeek.files import write_rotated_logs
-
-        write_rotated_logs(simulation.logs, tmp_path)
-        with pytest.deprecated_call(match="positional bundle"):
-            legacy = analyze_directory(tmp_path, simulation.trust_bundle)
-        current = analyze_directory(tmp_path, bundle=simulation.trust_bundle)
-        assert {n: str(p.finalize()) for n, p in legacy.partials.items()} == \
-            {n: str(p.finalize()) for n, p in current.partials.items()}
-
     def test_bundle_required(self, tmp_path):
         with pytest.raises(TypeError, match="bundle"):
             analyze_directory(tmp_path)
@@ -129,13 +87,4 @@ class TestAnalyzeDirectorySignature:
         with pytest.raises(TypeError, match="positional"):
             analyze_directory(
                 tmp_path, simulation.trust_bundle, simulation.ct_log, object()
-            )
-
-    def test_duplicated_positional_and_keyword_rejected(
-        self, simulation, tmp_path
-    ):
-        with pytest.raises(TypeError, match="bundle"):
-            analyze_directory(
-                tmp_path, simulation.trust_bundle,
-                bundle=simulation.trust_bundle,
             )

@@ -11,6 +11,7 @@ from repro.core.parallel import CampaignResult, ShardExecutor, analyze_directory
 from repro.core.study import CampusStudy
 from repro.netsim import ScenarioConfig, TrafficGenerator
 from repro.zeek.files import discover_shards, write_rotated_logs
+from repro.zeek.ingest import IngestOptions
 
 pytestmark = pytest.mark.usefixtures("supervision_watchdog")
 
@@ -65,20 +66,20 @@ class TestDiscovery:
 class TestExecutorEquivalence:
     def test_inline_matches_sequential(self, archive, simulation, sequential_tables):
         campaign = analyze_directory(
-            archive, simulation.trust_bundle, simulation.ct_log, jobs=1
+            archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log, jobs=1
         )
         assert [t.render() for t in campaign.tables()] == sequential_tables
 
     def test_parallel_matches_sequential(self, archive, simulation, sequential_tables):
         campaign = analyze_directory(
-            archive, simulation.trust_bundle, simulation.ct_log, jobs=3
+            archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log, jobs=3
         )
         assert [t.render() for t in campaign.tables()] == sequential_tables
         assert campaign.jobs == 3
 
     def test_jobs_capped_at_shard_count(self, archive, simulation):
         campaign = analyze_directory(
-            archive, simulation.trust_bundle, simulation.ct_log, jobs=64
+            archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log, jobs=64
         )
         assert campaign.jobs == _SCENARIO.months
 
@@ -90,7 +91,7 @@ class TestExecutorEquivalence:
         )
         expected = enricher.enrich(dataset).interception
         campaign = analyze_directory(
-            archive, simulation.trust_bundle, simulation.ct_log, jobs=2
+            archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log, jobs=2
         )
         assert campaign.interception.flagged_issuers == expected.flagged_issuers
         assert (
@@ -104,7 +105,7 @@ class TestExecutorEquivalence:
 
     def test_names_subset(self, archive, simulation):
         campaign = analyze_directory(
-            archive, simulation.trust_bundle, simulation.ct_log,
+            archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log,
             names=("table1", "figure1"), jobs=1,
         )
         assert sorted(campaign.partials) == ["figure1", "table1"]
@@ -114,7 +115,7 @@ class TestExecutorEquivalence:
     def test_result_unknown_name_lists_known(self, archive, simulation):
         """result() is as helpful as table() about what exists."""
         campaign = analyze_directory(
-            archive, simulation.trust_bundle, simulation.ct_log,
+            archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log,
             names=("table1", "figure1"), jobs=1,
         )
         with pytest.raises(KeyError, match="have: table1, figure1"):
@@ -141,8 +142,8 @@ class TestExecutorEquivalence:
 
     def test_ingest_accounting_counts_x509_once(self, archive, simulation):
         campaign = analyze_directory(
-            archive, simulation.trust_bundle, simulation.ct_log,
-            on_error="skip", jobs=2,
+            archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log,
+            options=IngestOptions(on_error="skip"), jobs=2,
         )
         assert campaign.ingest.rows_ok == len(simulation.logs.ssl) + len(
             simulation.logs.x509
@@ -156,7 +157,7 @@ class TestExecutorEquivalence:
 
     def test_campaign_result_picklable(self, archive, simulation):
         campaign = analyze_directory(
-            archive, simulation.trust_bundle, simulation.ct_log, jobs=1
+            archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log, jobs=1
         )
         clone = pickle.loads(pickle.dumps(campaign))
         assert isinstance(clone, CampaignResult)
@@ -197,11 +198,12 @@ class TestStudyJobs:
     def test_lenient_policy_matches_through_shards(self):
         """on_error=skip over clean logs: same tables, plus ingest health."""
         base = CampusStudy(
-            seed=41, months=3, connections_per_month=200, on_error="skip"
+            seed=41, months=3, connections_per_month=200,
+            options=IngestOptions(on_error="skip"),
         )
         sharded = CampusStudy(
             seed=41, months=3, connections_per_month=200,
-            on_error="skip", jobs=2,
+            options=IngestOptions(on_error="skip"), jobs=2,
         )
         ref = [t.render() for t in base.all_tables()]
         got = [t.render() for t in sharded.all_tables()]

@@ -61,7 +61,7 @@ def archive(simulation, tmp_path_factory):
     return directory
 
 
-def _run(simulation, directory, *, jobs=1, pipeline="auto", on_error="strict"):
+def _run(simulation, directory, *, jobs=1, pipeline="on", on_error="strict"):
     return analyze_directory(
         directory,
         bundle=simulation.trust_bundle,
@@ -321,21 +321,21 @@ class TestFactCacheEvictionMidBatch:
 
 class TestPipelineCoerce:
     def test_values(self):
-        assert Pipeline.coerce(None) is Pipeline.AUTO
+        assert Pipeline.coerce(None) is Pipeline.ON
         assert Pipeline.coerce(True) is Pipeline.ON
         assert Pipeline.coerce(False) is Pipeline.OFF
         assert Pipeline.coerce("on") is Pipeline.ON
         assert Pipeline.coerce("off") is Pipeline.OFF
-        assert Pipeline.coerce("auto") is Pipeline.AUTO
+        assert Pipeline.coerce("auto") is Pipeline.ON
         assert Pipeline.coerce(Pipeline.ON) is Pipeline.ON
 
     def test_enabled(self):
         assert Pipeline.ON.enabled
-        assert Pipeline.AUTO.enabled
         assert not Pipeline.OFF.enabled
+        assert list(Pipeline) == [Pipeline.ON, Pipeline.OFF]
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError, match="auto"):
+        with pytest.raises(ValueError, match="on, off"):
             Pipeline.coerce("sideways")
 
 

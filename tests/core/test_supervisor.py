@@ -63,7 +63,7 @@ def months(archive):
 @pytest.fixture(scope="module")
 def clean_campaign(archive, simulation):
     return analyze_directory(
-        archive, simulation.trust_bundle, simulation.ct_log, jobs=2
+        archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log, jobs=2
     )
 
 
@@ -75,7 +75,7 @@ def clean_tables(clean_campaign):
 def _run(archive, simulation, **kwargs):
     kwargs.setdefault("retry", FAST_RETRY)
     return analyze_directory(
-        archive, simulation.trust_bundle, simulation.ct_log, **kwargs
+        archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log, **kwargs
     )
 
 
@@ -335,7 +335,7 @@ class TestResume:
         _run(archive, simulation, jobs=1, resume_dir=run_dir)
         with pytest.raises(ValueError, match="different campaign"):
             analyze_directory(
-                archive, simulation.trust_bundle, simulation.ct_log,
+                archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log,
                 jobs=1, min_interception_domains=9, resume_dir=run_dir,
             )
 

@@ -1,8 +1,8 @@
 """Differential suite over corpora: clean, corrupted, and end-to-end.
 
-Every test runs the same input through the fast path and the reference
-path and asserts total equivalence — the acceptance contract of the
-fast ingest/enrich engine.
+Every test runs the same input through the batch engine and the
+reference path and asserts total equivalence — the acceptance contract
+of the batch ingest/enrich engine.
 """
 
 import pytest
@@ -12,6 +12,7 @@ from repro.core.streaming import StreamingAnalyzer
 from repro.core.study import CampusStudy
 from repro.netsim import FaultPlan, LogCorruptor, ScenarioConfig, TrafficGenerator
 from repro.zeek.files import write_rotated_logs
+from repro.zeek.ingest import IngestOptions
 
 from tests.differential import KINDS, POLICIES, assert_equivalent, corpus_texts
 
@@ -79,13 +80,14 @@ def test_headerless_tail(texts, kind, policy):
 
 def _study(fast_path: str) -> CampusStudy:
     return CampusStudy(
-        config=STUDY_CONFIG, on_error="skip", fast_path=fast_path
+        config=STUDY_CONFIG,
+        options=IngestOptions(on_error="skip", fast_path=fast_path),
     )
 
 
 @pytest.fixture(scope="module")
 def study_pair():
-    on, off = _study("on"), _study("off")
+    on, off = _study("batch"), _study("off")
     on.run(), off.run()
     return on, off
 
@@ -120,8 +122,8 @@ def test_sharded_campaign_identical(tmp_path):
 
     def run(mode):
         campaign = analyze_directory(
-            archive, simulation.trust_bundle, simulation.ct_log,
-            on_error="skip", jobs=1, fast_path=mode,
+            archive, bundle=simulation.trust_bundle, ct_log=simulation.ct_log,
+            options=IngestOptions(on_error="skip", fast_path=mode), jobs=1,
         )
         return (
             {t.title: t.render() for t in campaign.tables()},
@@ -129,7 +131,7 @@ def test_sharded_campaign_identical(tmp_path):
             campaign.dangling_fuid_refs,
         )
 
-    on_tables, on_ingest, on_dangling = run("on")
+    on_tables, on_ingest, on_dangling = run("batch")
     off_tables, off_ingest, off_dangling = run("off")
     assert on_tables == off_tables
     assert on_ingest == off_ingest
@@ -151,15 +153,21 @@ def test_streaming_identical_and_resumable():
     logs, bundle = simulation.logs, simulation.trust_bundle
     half = len(logs.x509) // 2
 
-    on = StreamingAnalyzer(bundle, fast_path="on")
-    off = StreamingAnalyzer(bundle, fast_path="off")
+    on = StreamingAnalyzer(
+        bundle, options=IngestOptions(fast_path="batch")
+    )
+    off = StreamingAnalyzer(
+        bundle, options=IngestOptions(fast_path="off")
+    )
     for analyzer in (on, off):
         analyzer.add_month(logs.ssl, logs.x509)
     assert _streaming_views(on) == _streaming_views(off)
 
     # Snapshot mid-stream with a warm cache, resume, finish: identical
     # to the uninterrupted run — including the cache counters.
-    interrupted = StreamingAnalyzer(bundle, fast_path="on")
+    interrupted = StreamingAnalyzer(
+        bundle, options=IngestOptions(fast_path="batch")
+    )
     interrupted.add_x509(logs.x509[:half])
     resumed = StreamingAnalyzer.from_snapshot(
         bundle, interrupted.to_snapshot()
@@ -182,7 +190,9 @@ def test_streaming_identical_and_resumable():
 
 def test_streaming_snapshot_preserves_fast_path_off():
     bundle = TrafficGenerator(STUDY_CONFIG).generate().trust_bundle
-    off = StreamingAnalyzer(bundle, fast_path="off")
+    off = StreamingAnalyzer(
+        bundle, options=IngestOptions(fast_path="off")
+    )
     snapshot = off.to_snapshot()
     assert snapshot["certfacts"] is None
     restored = StreamingAnalyzer.from_snapshot(bundle, snapshot)

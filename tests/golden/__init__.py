@@ -24,7 +24,7 @@ from typing import Any
 from repro.core import protocol
 from repro.core.study import CampusStudy
 from repro.netsim import ScenarioConfig
-from repro.zeek import ssl_log_to_string, x509_log_to_string
+from repro.zeek import IngestOptions, ssl_log_to_string, x509_log_to_string
 
 GOLDEN_DIR = Path(__file__).parent
 EXPECTED_PATH = GOLDEN_DIR / "expected.json"
@@ -40,13 +40,14 @@ CORPUS_FORMAT = "golden-corpus/v1"
 
 
 def build_study(
-    fast_path: str = "auto", on_error: str = "strict"
+    fast_path: str = "batch", on_error: str = "strict"
 ) -> CampusStudy:
     """The golden study; ``fast_path``/``on_error`` select the legs of
     the fast-vs-slow comparison (lenient legs re-ingest through the TSV
     reader, which is what exercises the decoders)."""
     return CampusStudy(
-        config=GOLDEN_CONFIG, fast_path=fast_path, on_error=on_error
+        config=GOLDEN_CONFIG,
+        options=IngestOptions(on_error=on_error, fast_path=fast_path),
     )
 
 

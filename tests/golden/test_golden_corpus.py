@@ -68,9 +68,9 @@ def test_suite_catches_one_line_perturbation(study, expected):
 @pytest.fixture(scope="module")
 def fast_legs():
     """Two full pipeline runs over the corpus in the same session: the
-    fast path on and off, both re-ingesting through the TSV reader
-    (``on_error="skip"``) so the decoders actually run."""
-    on = golden.build_study(fast_path="on", on_error="skip")
+    batch engine and the reference path, both re-ingesting through the
+    TSV reader (``on_error="skip"``) so the decoders actually run."""
+    on = golden.build_study(fast_path="batch", on_error="skip")
     off = golden.build_study(fast_path="off", on_error="skip")
     return on, off
 
@@ -81,7 +81,7 @@ def test_fast_leg_matches_slow_leg(fast_legs, name):
     fast_table = golden.table_to_json(on.table(name))
     slow_table = golden.table_to_json(off.table(name))
     assert fast_table == slow_table, (
-        f"analysis {name!r} differs between --fast-path on and off — the "
+        f"analysis {name!r} differs between --fast-path batch and off — the "
         "byte-identical contract is broken:\n"
         + golden.diff_tables(slow_table, fast_table)
     )

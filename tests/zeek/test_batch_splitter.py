@@ -132,6 +132,46 @@ def test_crlf_stream_equivalent(kind, chunk):
         _assert_matches_reference(kind, text, policy, chunk)
 
 
+#: Where a run's bad rows sit: at either edge, side by side, or
+#: everywhere (``n`` is the run length).
+BAD_ROWS = {
+    "first": lambda n: {0},
+    "last": lambda n: {n - 1},
+    "adjacent": lambda n: {n // 2, n // 2 + 1},
+    "every": lambda n: set(range(n)),
+}
+
+
+def _spoil(line: str, how: str) -> str:
+    cells = line.split("\t")
+    if how == "cell-count":
+        return "\t".join(cells[:-1])
+    # Column 3 is an integer in both schemas (id.orig_p / version).
+    cells[3] = "not-a-number"
+    return "\t".join(cells)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("how", ["cell-count", "bad-field"])
+@pytest.mark.parametrize("where", sorted(BAD_ROWS))
+@pytest.mark.parametrize("kind", KINDS)
+def test_bad_rows_anywhere_in_a_run(kind, where, how, policy):
+    """A run the bulk decoder rejects replays row by row; wherever its
+    bad rows sit, records, report (the partial one at a strict raise)
+    and error context match the reference path."""
+    lines = TEXTS[kind].split("\n")
+    header = [line for line in lines[:10] if line.startswith("#")]
+    rows = [line for line in lines if line and not line.startswith("#")][:12]
+    bad = BAD_ROWS[where](len(rows))
+    rows = [
+        _spoil(row, how) if index in bad else row
+        for index, row in enumerate(rows)
+    ]
+    text = "\n".join(header + rows + ["#close", ""])
+    for chunk in (1 << 20, 257):
+        _assert_matches_reference(kind, text, policy, chunk)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_crlf_file_round_trip(tmp_path, kind):
     """A CRLF file read through the normal text-mode entry point (where
@@ -162,7 +202,7 @@ class TestMemoBounds:
             path=f"{kind}.log",
         )
         source = io.StringIO(text)
-        reader = tsv._batch_reader(kind, source, opts)
+        reader = tsv._open_reader(kind, source, opts)
         return reader, reader.read(source)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -184,8 +224,9 @@ class TestMemoBounds:
         assert len(distinct) > cap
         memos = [
             memo
-            for per_permutation in reader._batch_memos.values()
-            for memo in per_permutation
+            for converters in reader._converters.values()
+            for _, memo in converters
+            if isinstance(memo, tsv._Memo)
         ]
         assert memos, "batch decode should have compiled column memos"
         for memo in memos:
@@ -202,7 +243,8 @@ class TestMemoBounds:
         assert [repr(r) for r in records] == [repr(r) for r in reference]
         caches = [
             memo.cache
-            for per_permutation in reader._batch_memos.values()
-            for memo in per_permutation
+            for converters in reader._converters.values()
+            for _, memo in converters
+            if isinstance(memo, tsv._Memo)
         ]
         assert any(cache for cache in caches)

@@ -14,6 +14,7 @@ import pytest
 from repro.netsim import ScenarioConfig, TrafficGenerator
 from repro.zeek import (
     ErrorPolicy,
+    IngestOptions,
     IngestReport,
     TailDecoder,
     format_ssl_row,
@@ -46,7 +47,8 @@ def _batch(kind, text, on_error=ErrorPolicy.STRICT):
     report = IngestReport()
     reader = read_ssl_log if kind == "ssl" else read_x509_log
     records = reader(
-        io.StringIO(text), report=report, path=f"{kind}.log", on_error=on_error
+        io.StringIO(text),
+        IngestOptions(report=report, path=f"{kind}.log", on_error=on_error),
     )
     return records, report
 
@@ -78,7 +80,8 @@ class TestChunkedParity:
         assert records == expect_records
         assert _report_key(report) == _report_key(expect_report)
 
-    @pytest.mark.parametrize("fast_path", ["auto", "off"])
+    # "auto" is the retired alias of "batch"; coerce must still map it.
+    @pytest.mark.parametrize("fast_path", ["auto", "batch", "off"])
     def test_fast_and_slow_paths_agree(self, ssl_text, fast_path):
         expect_records, _ = _batch("ssl", ssl_text)
         records, _ = _chunked("ssl", ssl_text, 100, fast_path=fast_path)
