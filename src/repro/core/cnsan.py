@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.core import protocol
 from repro.core.dataset import CertProfile, ProfileStore
-from repro.core.enrich import EnrichedConn, EnrichedDataset
+from repro.core.enrich import EnrichedConn, EnrichedDataset, _is_public
 from repro.core.report import Table, percentage
 from repro.text.domains import is_domain_like
 from repro.text.ner import EntityLabel, NerClassifier
@@ -36,12 +36,24 @@ _EMAIL_RE = re.compile(r"^[^@\s]+@[^@\s]+\.[^@\s]+$")
 _USER_ACCOUNT_RE = re.compile(r"^[a-z]{2,3}\d[a-z]{2,3}$")
 _IPV4_RE = re.compile(r"^\d{1,3}(\.\d{1,3}){3}$")
 
+#: Bound on each classifier's memo of `classify` results. The memo is
+#: *cleared* (not LRU-evicted) when full, like the TSV column memos:
+#: classification is pure, so clearing only costs recomputation.
+_CLASSIFY_MEMO_MAX = 1 << 16
+
 
 class CnSanClassifier:
     """Classifies one CN or SAN value into an information type.
 
     `campus_issuer_markers` gates the UserAccount type: the paper only
     counts university-format IDs when the issuer is a campus-managed CA.
+
+    The type is a pure function of the value and its issuer fields, so
+    `classify` memoizes it per instance, keyed on all three. Tables 8,
+    9, 13b and 14b classify the same values on every finalize; with the
+    memo each distinct (value, issuer) pair runs the regex/NER/company
+    pipeline once per process. Treat an instance as immutable once it
+    has classified anything.
     """
 
     def __init__(
@@ -51,6 +63,7 @@ class CnSanClassifier:
     ) -> None:
         self.ner = ner or NerClassifier()
         self.campus_issuer_markers = tuple(m.lower() for m in campus_issuer_markers)
+        self._memo: dict[tuple[str, str | None, str | None], str] = {}
 
     def _issuer_is_campus(self, issuer_org: str | None, issuer_cn: str | None) -> bool:
         for text in (issuer_org, issuer_cn):
@@ -63,6 +76,18 @@ class CnSanClassifier:
         value: str,
         issuer_org: str | None = None,
         issuer_cn: str | None = None,
+    ) -> str:
+        key = (value, issuer_org, issuer_cn)
+        memo = self._memo
+        info_type = memo.get(key)
+        if info_type is None:
+            if len(memo) >= _CLASSIFY_MEMO_MAX:
+                memo.clear()
+            info_type = memo[key] = self._classify(value, issuer_org, issuer_cn)
+        return info_type
+
+    def _classify(
+        self, value: str, issuer_org: str | None, issuer_cn: str | None
     ) -> str:
         value = value.strip()
         if not value:
@@ -92,6 +117,12 @@ class CnSanClassifier:
         return "Unidentified"
 
 
+#: The classifier every table uses unless a caller supplies its own (the
+#: CLI's ``--campus-marker``); one per process, so its memo outlives a
+#: single finalize.
+_DEFAULT_CLASSIFIER = CnSanClassifier()
+
+
 def _maybe_ip(value: str) -> bool:
     try:
         ipaddress.ip_address(value)
@@ -107,11 +138,7 @@ def _maybe_ip(value: str) -> bool:
 
 def _group_of(bundle: TrustBundle, profile: CertProfile) -> tuple[str, str]:
     role = "Server" if profile.primary_role == "server" else "Client"
-    record = profile.record
-    public = bundle.knows_issuer_dn(record.issuer) or bundle.knows_organization(
-        record.issuer_org
-    )
-    kind = "Public" if public else "Private"
+    kind = "Public" if _is_public(profile.record, bundle) else "Private"
     return role, kind
 
 
@@ -255,7 +282,7 @@ def _count_information_types(
     classifier: CnSanClassifier | None,
     split_roles: bool,
 ) -> InfoTypeMatrix:
-    classifier = classifier or CnSanClassifier()
+    classifier = classifier or _DEFAULT_CLASSIFIER
     matrix = InfoTypeMatrix()
 
     def bump(group: str, fieldname: str, info_type: str) -> None:
@@ -330,8 +357,6 @@ def san_type_usage(
     enriched: EnrichedDataset, population: list[CertProfile] | None = None
 ) -> SanTypeUsage:
     """Measure explicit-SAN-type utilization and type conformance."""
-    from repro.text.domains import is_domain_like
-
     population = (
         _select_used_in_mutual(enriched.profiles)
         if population is None else population
@@ -420,7 +445,7 @@ def _count_unidentified(
     bundle: TrustBundle,
     classifier: CnSanClassifier | None = None,
 ) -> list[UnidentifiedBreakdown]:
-    classifier = classifier or CnSanClassifier()
+    classifier = classifier or _DEFAULT_CLASSIFIER
     rows: dict[tuple[str, str], UnidentifiedBreakdown] = {}
 
     def bucket(group: str, fieldname: str) -> UnidentifiedBreakdown:

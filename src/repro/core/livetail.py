@@ -590,6 +590,7 @@ class LiveAnalysisEngine:
         self.ssl_report = IngestReport()
         self.x509_report = IngestReport()
         self.admission = admission or AdmissionController()
+        self._rendered: dict[str, dict] | None = None
         self._rebind_tables()
 
     def _make_enricher(
@@ -627,10 +628,15 @@ class LiveAnalysisEngine:
     ) -> None:
         """Fold one poll batch in (x509 first — Zeek write ordering
         guarantees any referenced certificate row is durable before the
-        ssl row referencing it)."""
+        ssl row referencing it). Rows, or a window closing on an empty
+        batch, start a new data generation: the kept render is dropped."""
+        if ssl_records or x509_records:
+            self._rendered = None
         self.analyzer.add_x509(x509_records)
         established = [r for r in ssl_records if r.established]
         transition = self.admission.observe_batch(len(established))
+        if transition is not None:
+            self._rendered = None
         if transition == "enter":
             self.metrics.inc("livetail.admission.windows")
         elif transition == "exit":
@@ -670,7 +676,14 @@ class LiveAnalysisEngine:
         While a sampling window is open, hot tables render from a deep
         copy folded with the current reservoir — the committed partials
         stay sample-free until the window actually closes.
+
+        The render is kept until the next data generation (see
+        :meth:`feed` and :meth:`load_extra`), so every query between two
+        polls shares one finalize of each partial. Callers must treat
+        the returned dict and its tables as read-only.
         """
+        if self._rendered is not None:
+            return self._rendered
         inter = self.partials.get("interception")
         if inter is not None:
             # The partial captured the (empty) report at construction;
@@ -696,6 +709,7 @@ class LiveAnalysisEngine:
                     name, include_open_window=True
                 ),
             }
+        self._rendered = out
         return out
 
     def publish_sampling_metrics(self) -> None:
@@ -752,6 +766,7 @@ class LiveAnalysisEngine:
         self.ssl_report = state["ssl_report"]
         self.x509_report = state["x509_report"]
         self.admission = state["admission"]
+        self._rendered = None
         self._rebind_tables()
 
     @classmethod
@@ -786,6 +801,7 @@ class LiveAnalysisEngine:
         engine.ssl_report = IngestReport()
         engine.x509_report = IngestReport()
         engine.admission = admission or AdmissionController()
+        engine._rendered = None
         extra = document.get(LIVETAIL_STATE_KEY)
         if extra is not None:
             engine.load_extra(extra)

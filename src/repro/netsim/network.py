@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ipaddress
 import random
+import re
 
 #: University-owned prefixes (internal). The health system has its own
 #: prefix, mirroring the paper's distinct 'University Health' servers.
@@ -53,8 +54,22 @@ class AddressSpace:
         return self._rng.randint(32768, 60999)
 
 
+#: One dotted-quad octet exactly as `ipaddress` accepts it: ASCII digits,
+#: at most 255, no leading zero.
+_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_IPV4_FULLMATCH = re.compile(rf"((?:{_OCTET}\.){{3}}){_OCTET}").fullmatch
+
+
 def subnet24(ip: str) -> str:
-    """The /24 prefix of an address (Table 6's sharing granularity)."""
+    """The /24 prefix of an address (Table 6's sharing granularity).
+
+    A dotted quad `ipaddress` would accept is cut at its last dot;
+    anything else (IPv6, malformed text) takes the `ipaddress` path, so
+    results and `ValueError`s are the stdlib's.
+    """
+    quad = _IPV4_FULLMATCH(ip)
+    if quad is not None:
+        return f"{quad[1]}0/24"
     address = ipaddress.ip_address(ip)
     if address.version == 4:
         network = ipaddress.ip_network(f"{ip}/24", strict=False)

@@ -140,7 +140,12 @@ class TestStaleLockTakeover:
             finally:
                 lock.release()
         finally:
-            release.set()
+            # Only a live holder may be woken: a SIGKILLed one still
+            # counts as a sleeper of the Event's condition, and set()
+            # would wait forever for it to acknowledge the wake-up.
+            if holder.is_alive():
+                release.set()
+                holder.join(timeout=10)
             if holder.is_alive():
                 holder.terminate()
                 holder.join(timeout=10)

@@ -1,7 +1,13 @@
 """Tests for the CN/SAN information-type classifier (§6)."""
 
-import pytest
+import pickle
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import cnsan
 from repro.core.cnsan import CnSanClassifier
 
 
@@ -64,6 +70,79 @@ class TestClassifier:
     def test_custom_campus_markers(self):
         classifier = CnSanClassifier(campus_issuer_markers=("acme college",))
         assert classifier.classify("ab1cd", issuer_org="Acme College") == "UserAccount"
+
+
+_VALUES = st.one_of(
+    st.sampled_from([
+        "example.com", "192.0.2.15", "12:34:56:AB:CD:EF", "sip:a@b.example",
+        "user@example.com", "localhost", "John Smith", "WebRTC", "Amazon",
+        "d41d8cd98f00b204e9800998ecf8427e", "", "  hd7gr  ",
+    ]),
+    st.from_regex(r"[a-z]{2,3}[0-9][a-z]{2,3}", fullmatch=True),
+    st.text(max_size=24),
+)
+_ISSUER_FIELDS = st.one_of(
+    st.none(),
+    st.sampled_from([
+        "State University", "State University Device CA", "Acme College",
+        "ACME COLLEGE Issuing CA", "Acme Inc", "",
+    ]),
+    st.text(max_size=12),
+)
+_MARKERS = st.sampled_from([None, ("acme college",), ("UNIVERSITY", "device ca")])
+
+
+class TestClassifierMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        markers=_MARKERS,
+        calls=st.lists(
+            st.tuples(_VALUES, _ISSUER_FIELDS, _ISSUER_FIELDS),
+            min_size=1, max_size=25,
+        ),
+        cap=st.integers(min_value=1, max_value=8),
+    )
+    def test_memoized_equals_fresh(self, markers, calls, cap):
+        """Repeated and interleaved calls on a memoizing classifier (and
+        on the module default) agree with a fresh, un-memoized
+        classification, and no memo outgrows its cap."""
+        kwargs = {} if markers is None else {"campus_issuer_markers": markers}
+        memoized = [CnSanClassifier(**kwargs), cnsan._DEFAULT_CLASSIFIER]
+        fresh = [CnSanClassifier(**kwargs), CnSanClassifier()]
+        with mock.patch.object(cnsan, "_CLASSIFY_MEMO_MAX", cap):
+            # Filled under the real cap by earlier tests.
+            cnsan._DEFAULT_CLASSIFIER._memo.clear()
+            for value, org, cn in calls + calls[::-1] + calls:
+                for classifier, reference in zip(memoized, fresh):
+                    got = classifier.classify(value, org, cn)
+                    assert got == reference._classify(value, org, cn)
+                    assert len(classifier._memo) <= cap
+
+    def test_tables_share_the_default_classifier(self, small_result):
+        from repro.core.cnsan import information_types, unidentified_breakdown
+
+        memo = cnsan._DEFAULT_CLASSIFIER._memo
+        memo.clear()
+        first = information_types(small_result.enriched)
+        filled = len(memo)
+        assert filled > 0
+        # A second finalize over the same population adds no entries.
+        assert information_types(small_result.enriched) == first
+        unidentified_breakdown(small_result.enriched)
+        assert len(memo) == filled
+
+    def test_partials_pickle_no_classifier_state(self, small_result):
+        from repro.core import protocol
+
+        context = protocol.AnalysisContext(bundle=small_result.enriched.bundle)
+        names = ("table8", "table9", "table13b", "table14b")
+        partials = protocol.create_partials(names, context)
+        protocol.update_partials(partials, small_result.enriched.connections)
+        for partial in partials.values():
+            partial.finalize()
+        blob = pickle.dumps(partials)
+        assert b"CnSanClassifier" not in blob
+        assert b"NerClassifier" not in blob
 
 
 class TestTables:

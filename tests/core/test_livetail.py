@@ -233,6 +233,137 @@ class TestLiveBatchEquivalence:
         )
 
 
+def _uncached(engine):
+    """Every table rendered afresh, bypassing (and keeping) the engine's
+    kept render."""
+    kept = engine._rendered
+    engine._rendered = None
+    try:
+        return _live_tables(engine)
+    finally:
+        engine._rendered = kept
+
+
+def _snapshot(tables):
+    return {
+        name: (entry["table"].render(), entry["sampling"])
+        for name, entry in tables.items()
+    }
+
+
+class TestTableCache:
+    """Tables render once per data generation: queries between two polls
+    share one render; new rows, an admission transition, and a restore
+    each start a new one."""
+
+    def test_queries_between_polls_share_one_render(self, simulation, tmp_path):
+        writer = LiveLogWriter(simulation.logs, tmp_path)
+        harness = _Harness(tmp_path, simulation.trust_bundle)
+        writer.write_next(150)
+        harness.poll()
+        first = harness.engine.tables()
+        assert harness.engine.tables() is first
+        assert harness.engine.tables() is first
+        assert {n: e["table"].render() for n, e in first.items()} == _uncached(
+            harness.engine
+        )
+        assert harness.poll() == 0  # nothing new: same generation
+        assert harness.engine.tables() is first
+
+    def test_feed_with_rows_rerenders(self, simulation, tmp_path):
+        writer = LiveLogWriter(simulation.logs, tmp_path)
+        harness = _Harness(tmp_path, simulation.trust_bundle)
+        writer.write_next(150)
+        harness.poll()
+        first = harness.engine.tables()
+        before = _snapshot(first)
+        writer.write_next(150)
+        assert harness.poll() > 0
+        second = harness.engine.tables()
+        assert second is not first
+        assert _snapshot(second) != before
+        assert _live_tables(harness.engine) == _uncached(harness.engine)
+
+    def test_admission_window_open_and_close_rerender(
+        self, simulation, tmp_path
+    ):
+        writer = LiveLogWriter(simulation.logs, tmp_path)
+        admission = AdmissionController(
+            high_watermark=20, low_watermark=5, reservoir_size=16
+        )
+        harness = _Harness(
+            tmp_path, simulation.trust_bundle, admission=admission
+        )
+        writer.write_next(10)
+        harness.poll()
+        assert not admission.sampling
+        exact = harness.engine.tables()
+        writer.write_next(400)
+        harness.poll()
+        assert admission.sampling  # the window opened
+        sampled = harness.engine.tables()
+        assert sampled is not exact
+        assert sampled["table2"]["sampling"] is not None
+        assert {n: e["table"].render() for n, e in sampled.items()} == (
+            _uncached(harness.engine)
+        )
+        assert harness.poll() == 0  # an empty batch closes the window
+        assert not admission.sampling
+        folded = harness.engine.tables()
+        assert folded is not sampled
+        assert {n: e["table"].render() for n, e in folded.items()} == (
+            _uncached(harness.engine)
+        )
+        assert folded["table2"]["sampling"] == admission.table_stats("table2")
+
+    def test_restore_starts_without_a_render(self, simulation, tmp_path):
+        logdir = tmp_path / "logs"
+        ckpt = tmp_path / "ckpt.json"
+        writer = LiveLogWriter(simulation.logs, logdir)
+        harness = _Harness(logdir, simulation.trust_bundle)
+        writer.write_next(150)
+        harness.poll()
+        harness.engine.checkpoint(
+            ckpt,
+            {"ssl": harness.ssl.state_dict(), "x509": harness.x509.state_dict()},
+        )
+        expected = _live_tables(harness.engine)
+        document, _ = load_checkpoint_json(ckpt)
+        restored = LiveAnalysisEngine.from_checkpoint_doc(
+            simulation.trust_bundle, document
+        )
+        assert restored._rendered is None
+        assert _live_tables(restored) == expected
+        # load_extra onto an engine holding a render drops it too.
+        writer.write_next(150)
+        harness.poll()
+        later = harness.engine.tables()
+        harness.engine.load_extra(document["livetail"])
+        reloaded = harness.engine.tables()
+        assert reloaded is not later
+        assert _live_tables(harness.engine) == expected
+
+    def test_interception_picks_up_scan_change_after_next_feed(
+        self, simulation, tmp_path
+    ):
+        writer = LiveLogWriter(simulation.logs, tmp_path)
+        harness = _Harness(tmp_path, simulation.trust_bundle)
+        writer.write_next(150)
+        harness.poll()
+        engine = harness.engine
+        before = engine.tables()["interception"]["table"].render()
+        issuer = next(iter(engine.scan.issuer_fingerprints))
+        engine.scan.mismatched_domains[issuer] = {
+            f"d{i}.example" for i in range(engine.enricher.min_interception_domains)
+        }
+        writer.write_next(50)
+        assert harness.poll() > 0
+        after = engine.tables()["interception"]["table"].render()
+        assert after != before
+        assert engine.partials["interception"].report.flagged_issuers == {issuer}
+        assert after == _uncached(engine)["interception"]
+
+
 class TestCheckpointRestore:
     def test_kill_and_resume_matches_batch(self, simulation, tmp_path):
         logdir = tmp_path / "logs"

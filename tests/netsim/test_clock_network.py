@@ -1,6 +1,7 @@
 """Tests for the campaign clock, address space, and CT log."""
 
 import datetime as dt
+import ipaddress
 import random
 
 import pytest
@@ -86,6 +87,29 @@ class TestAddressSpace:
     def test_subnet24(self):
         assert subnet24("10.16.3.77") == "10.16.3.0/24"
         assert subnet24("198.18.0.200") == "198.18.0.0/24"
+
+    def test_subnet24_matches_ipaddress(self):
+        rng = random.Random(24)
+        for _ in range(2000):
+            if rng.random() < 0.5:
+                ip = str(ipaddress.IPv4Address(rng.getrandbits(32)))
+                expected = ipaddress.ip_network(f"{ip}/24", strict=False)
+            else:
+                ip = str(ipaddress.IPv6Address(rng.getrandbits(128)))
+                expected = ipaddress.ip_network(f"{ip}/56", strict=False)
+            assert subnet24(ip) == str(expected)
+
+    @pytest.mark.parametrize(
+        "ip",
+        ["01.2.3.4", "1.2.3.04", "256.1.1.1", "1.2.3.1000", "\u0661.2.3.4",
+         " 1.2.3.4", "1.2.3.4\n", "1.2.3", "1.2.3.4.5", "1..3.4", "", "::g"],
+    )
+    def test_subnet24_rejects_like_ipaddress(self, ip):
+        with pytest.raises(ValueError) as stdlib:
+            ipaddress.ip_address(ip)
+        with pytest.raises(ValueError) as ours:
+            subnet24(ip)
+        assert str(ours.value) == str(stdlib.value)
 
 
 class TestCtLog:
