@@ -12,6 +12,8 @@ import gzip
 import hashlib
 import io
 import json
+import os
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
@@ -89,7 +91,8 @@ def discover_shards(directory: Path | str) -> list[tuple[str, list[Path], list[P
     chronologically. The x509 paths are the *full* set for every shard:
     fuid references may cross a month boundary (a chain logged just
     before midnight), so workers join against the whole certificate
-    stream — it is tiny next to ssl.log and deduplicated on load.
+    stream. :class:`TsvDirectorySource` decodes that broadcast stream
+    once per process, not once per shard.
     """
     directory = Path(directory)
     ssl_paths = list(directory.glob("ssl.*.log")) + list(directory.glob("ssl.*.log.gz"))
@@ -145,23 +148,24 @@ class MonthStream:
 
     :meth:`ssl_batches` yields decoded ssl record batches as the files
     are read — a consumer on another thread can join/enrich batch *k*
-    while batch *k+1* is still decoding. :meth:`read_x509` loads the
-    (tiny, broadcast) certificate stream whole, ts-sorted exactly like
-    :meth:`TsvDirectorySource.read_month`. The two reports fill in as
-    reading proceeds and match the serial read's reports field for
-    field once both streams are drained.
+    while batch *k+1* is still decoding. :meth:`read_x509` returns the
+    broadcast certificate stream whole, ts-sorted, through
+    ``load_x509(report)`` — the source's once-per-process decode, the
+    same one :meth:`TsvDirectorySource.read_month` serves. The two
+    reports fill in as reading proceeds and match the serial read's
+    reports field for field once both streams are drained.
     """
 
     def __init__(
         self,
         month: str,
         ssl_paths: Iterable[str],
-        x509_paths: Iterable[str],
+        load_x509: Callable[[IngestReport], list[X509Record]],
         options: IngestOptions,
     ) -> None:
         self.month = month
         self._ssl_paths = tuple(str(p) for p in ssl_paths)
-        self._x509_paths = tuple(str(p) for p in x509_paths)
+        self._load_x509 = load_x509
         self._options = options
         self.ssl_report = IngestReport()
         self.x509_report = IngestReport()
@@ -176,12 +180,7 @@ class MonthStream:
                 )
 
     def read_x509(self) -> list[X509Record]:
-        records = _read_many(
-            [Path(p) for p in self._x509_paths],
-            read_x509_log, self._options, self.x509_report,
-        )
-        records.sort(key=lambda r: r.ts)
-        return records
+        return self._load_x509(self.x509_report)
 
 
 class TsvDirectorySource:
@@ -192,8 +191,10 @@ class TsvDirectorySource:
     differential suite. Shards follow :func:`discover_shards` — one per
     calendar month, with the full x509 stream broadcast to each.
 
-    Instances hold only path tuples, so they pickle cheaply into
-    executor worker processes.
+    That broadcast stream is decoded once per source per process and
+    served to every shard from a cache (:meth:`_read_x509`). The cache
+    is dropped on pickling, so instances still carry only path tuples
+    into executor worker processes, and each worker decodes once.
     """
 
     def __init__(self, directory: Path | str) -> None:
@@ -202,6 +203,7 @@ class TsvDirectorySource:
             (month, tuple(str(p) for p in ssl_paths), tuple(str(p) for p in x509_paths))
             for month, ssl_paths, x509_paths in discover_shards(directory)
         )
+        self._x509_cache: dict[tuple[str, ...], tuple] = {}
 
     @classmethod
     def from_shards(
@@ -216,7 +218,17 @@ class TsvDirectorySource:
             (month, tuple(str(p) for p in ssl), tuple(str(p) for p in x509))
             for month, ssl, x509 in shards
         )
+        source._x509_cache = {}
         return source
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_x509_cache"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._x509_cache = {}
 
     def months(self) -> tuple[str, ...]:
         return tuple(month for month, _, _ in self._shards)
@@ -228,6 +240,41 @@ class TsvDirectorySource:
         known = ", ".join(self.months())
         raise KeyError(f"no shard for month {month!r} (have: {known})")
 
+    def _read_x509(
+        self,
+        paths: tuple[str, ...],
+        options: IngestOptions,
+        report: IngestReport,
+    ) -> list[X509Record]:
+        """The broadcast x509 stream, ts-sorted, decoded once per source
+        per process.
+
+        One entry per path set, stamped with each file's ``(size,
+        mtime_ns)`` and the options that affect decoding; a stale stamp
+        re-decodes. Every call gets its own list, and the decode's
+        accounting is merged into ``report`` — field for field what a
+        fresh decode into it would record. A failed read raises before
+        anything is cached, so it fails again on every shard.
+        """
+        stamp = (
+            tuple(
+                (stat.st_size, stat.st_mtime_ns)
+                for stat in map(os.stat, paths)
+            ),
+            options.on_error, options.fast_path, options.batch_chunk_chars,
+        )
+        entry = self._x509_cache.get(paths)
+        if entry is None or entry[0] != stamp:
+            decoded = IngestReport()
+            records = _read_many(
+                [Path(p) for p in paths], read_x509_log, options, decoded
+            )
+            records.sort(key=lambda r: r.ts)
+            entry = self._x509_cache[paths] = (stamp, records, decoded)
+        _, records, decoded = entry
+        report.merge(decoded)
+        return list(records)
+
     def read_month(self, month: str, options: IngestOptions) -> ShardRecords:
         ssl_paths, x509_paths = self._shard_paths(month)
         ssl_report = IngestReport()
@@ -235,11 +282,8 @@ class TsvDirectorySource:
         ssl = _read_many(
             [Path(p) for p in ssl_paths], read_ssl_log, options, ssl_report
         )
-        x509 = _read_many(
-            [Path(p) for p in x509_paths], read_x509_log, options, x509_report
-        )
+        x509 = self._read_x509(x509_paths, options, x509_report)
         ssl.sort(key=lambda r: r.ts)
-        x509.sort(key=lambda r: r.ts)
         return ShardRecords(
             month=month, ssl=ssl, x509=x509,
             ssl_report=ssl_report, x509_report=x509_report,
@@ -250,7 +294,10 @@ class TsvDirectorySource:
         counterpart of :meth:`read_month`. Sources without this method
         are loaded serially by the executor."""
         ssl_paths, x509_paths = self._shard_paths(month)
-        return MonthStream(month, ssl_paths, x509_paths, options)
+        return MonthStream(
+            month, ssl_paths, partial(self._read_x509, x509_paths, options),
+            options,
+        )
 
     def read_all(
         self, options: IngestOptions

@@ -386,10 +386,11 @@ def _fast_vector(text: str) -> tuple[str, ...]:
 
 
 def _ssl_fast_converters() -> list[tuple[str, Callable | None]]:
-    """Fresh fast converters for one compiled ssl decoder, aligned with
-    ``_SSL_PARSERS``. ``None`` marks a verbatim column (slow path uses
-    the identity `_parse_string`); `sys.intern` collapses the heavy
-    repeaters (addresses, versions, ciphers) to shared objects."""
+    """Fresh fast converters for one entry of the process decoder table
+    (`_process_decoder`), aligned with ``_SSL_PARSERS``. ``None`` marks
+    a verbatim column (slow path uses the identity `_parse_string`);
+    `sys.intern` collapses the heavy repeaters (addresses, versions,
+    ciphers) to shared objects."""
     memo_port = _memoized(int)
     memo_addr = _memoized(_sys.intern)
     memo_bool = _memoized(_parse_bool)
@@ -412,11 +413,11 @@ def _ssl_fast_converters() -> list[tuple[str, Callable | None]]:
 
 
 def _x509_fast_converters() -> list[tuple[str, Callable | None]]:
-    """Fresh fast converters for one compiled x509 decoder, aligned with
-    ``_X509_PARSERS``. Certificates repeat heavily across fuids, so the
-    DN, validity, and algorithm columns all memoize; the shared tuples
-    returned by a memoized vector converter are safe because records
-    never mutate them."""
+    """Fresh fast converters for one entry of the process decoder table,
+    aligned with ``_X509_PARSERS``. Certificates repeat heavily across
+    fuids, so the DN, validity, and algorithm columns all memoize; the
+    shared tuples returned by a memoized vector converter are safe
+    because records never mutate them."""
     memo_time = _memoized(_parse_time)
     memo_count = _memoized(int)
     memo_name = _memoized(_sys.intern)
@@ -697,6 +698,36 @@ _SCHEMAS: dict[str, tuple] = {
     "x509": (_X509_FIELDS, _X509_PARSERS, X509Record, _x509_fast_converters),
 }
 
+#: Process-wide decode state, shared by every reader (and by the
+#: pipeline's feeder thread): (kind, column order, memo cap) -> the
+#: converters both decoders of that shape share, and (kind, column
+#: order, row?, memo cap) -> the compiled decoder. The cap is part of
+#: the key because each `_Memo` binds it at construction.
+_CONVERTERS: dict[tuple, list] = {}
+_DECODERS: dict[tuple, Callable] = {}
+
+
+def _process_decoder(
+    kind: str, permutation: list[int] | None, row: bool
+) -> Callable:
+    """The process's compiled run decoder (or with ``row``, row decoder)
+    for one kind and column order, compiled on first use. A race between
+    threads at most compiles twice; `setdefault` keeps one converter set
+    per key, so the memos stay shared and bounded either way."""
+    order = tuple(permutation) if permutation is not None else None
+    key = (kind, order, row, _MEMO_MAX_ENTRIES)
+    decoder = _DECODERS.get(key)
+    if decoder is None:
+        _, _, factory, fast_converters = _SCHEMAS[kind]
+        converters = _CONVERTERS.setdefault(
+            (kind, order, _MEMO_MAX_ENTRIES), fast_converters()
+        )
+        compile_decoder = _compile_decoder if row else _compile_batch_decoder
+        decoder = _DECODERS.setdefault(
+            key, compile_decoder(factory, converters, permutation)
+        )
+    return decoder
+
 
 class _LogReader:
     """One pass over one log stream under one error policy.
@@ -716,9 +747,10 @@ class _LogReader:
         chunk_chars: int | None = None,
     ) -> None:
         try:
-            fields, parsers, factory, converters = _SCHEMAS[kind]
+            fields, parsers, factory, _ = _SCHEMAS[kind]
         except KeyError:
             raise ValueError(f"unknown log kind {kind!r}") from None
+        self.kind = kind
         self.expected_path = kind
         self.field_names = [name for name, _ in fields]
         self.parsers = parsers
@@ -734,11 +766,6 @@ class _LogReader:
         self.saw_close = False
         self.batched = batched
         self.chunk_chars = chunk_chars
-        self._fast_converters = converters
-        #: column-order key -> the converters both decoders share.
-        self._converters: dict[tuple[int, ...] | None, list] = {}
-        #: (column-order key, row?) -> compiled decoder.
-        self._decoders: dict[tuple, Callable] = {}
 
     # ------------------------------------------------------------------ helpers
 
@@ -941,21 +968,11 @@ class _LogReader:
         """The compiled run decoder — or with ``row``, the row decoder
         that replays rejected runs — for the current header state; None
         when rows cannot be compiled-decoded (reference engine, or no
-        usable #fields yet). Each is compiled on first use; both share
-        one set of converters."""
+        usable #fields yet). Both come from the process-wide table
+        (`_process_decoder`), so each is compiled once per process."""
         if not (self.batched and self.saw_fields and self.header_usable):
             return None
-        order = tuple(self.permutation) if self.permutation is not None else None
-        decoder = self._decoders.get((order, row))
-        if decoder is None:
-            converters = self._converters.get(order)
-            if converters is None:
-                converters = self._converters[order] = self._fast_converters()
-            compile_decoder = _compile_decoder if row else _compile_batch_decoder
-            decoder = self._decoders[order, row] = compile_decoder(
-                self.factory, converters, self.permutation
-            )
-        return decoder
+        return _process_decoder(self.kind, self.permutation, row)
 
     def _flush_run(
         self, decode: Callable | None, run: list[str], start: int, records: list

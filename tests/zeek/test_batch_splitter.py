@@ -194,6 +194,10 @@ class TestMemoBounds:
     """Satellite 5: the bulk decoder honours the per-line memo cap."""
 
     def _batch_read(self, kind, text, cap, monkeypatch):
+        # Fresh process decoder tables, so the memos inspected below are
+        # exactly the ones this read compiled and filled.
+        monkeypatch.setattr(tsv, "_CONVERTERS", {})
+        monkeypatch.setattr(tsv, "_DECODERS", {})
         monkeypatch.setattr(tsv, "_MEMO_MAX_ENTRIES", cap)
         opts = IngestOptions(
             on_error="strict",
@@ -202,8 +206,13 @@ class TestMemoBounds:
             path=f"{kind}.log",
         )
         source = io.StringIO(text)
-        reader = tsv._open_reader(kind, source, opts)
-        return reader, reader.read(source)
+        return tsv._open_reader(kind, source, opts).read(source)
+
+    @staticmethod
+    def _process_converters(kind, cap):
+        """The converters the process decoder table holds for ``kind`` in
+        header order under ``cap`` (empty if none were compiled)."""
+        return tsv._CONVERTERS.get((kind, None, cap), [])
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_mid_batch_eviction_keeps_cache_bounded(self, kind, monkeypatch):
@@ -213,7 +222,7 @@ class TestMemoBounds:
         cap = 8
         text = TEXTS[kind]
         reference = read_one(kind, text, "strict", "off")[0]
-        reader, records = self._batch_read(kind, text, cap, monkeypatch)
+        records = self._batch_read(kind, text, cap, monkeypatch)
         assert [repr(r) for r in records] == [repr(r) for r in reference]
         # The cap genuinely bites mid-batch: a memoized column carries
         # more distinct texts than the memo may ever hold.
@@ -224,8 +233,7 @@ class TestMemoBounds:
         assert len(distinct) > cap
         memos = [
             memo
-            for converters in reader._converters.values()
-            for _, memo in converters
+            for _, memo in self._process_converters(kind, cap)
             if isinstance(memo, tsv._Memo)
         ]
         assert memos, "batch decode should have compiled column memos"
@@ -236,15 +244,14 @@ class TestMemoBounds:
     def test_bounded_cache_still_deduplicates(self, kind, monkeypatch):
         """With a roomy cap the same corpus fills the caches normally —
         the bound changes memory behaviour only, never output."""
-        reader, records = self._batch_read(
+        records = self._batch_read(
             kind, TEXTS[kind], 1 << 16, monkeypatch
         )
         reference = read_one(kind, TEXTS[kind], "strict", "off")[0]
         assert [repr(r) for r in records] == [repr(r) for r in reference]
         caches = [
             memo.cache
-            for converters in reader._converters.values()
-            for _, memo in converters
+            for _, memo in self._process_converters(kind, 1 << 16)
             if isinstance(memo, tsv._Memo)
         ]
         assert any(cache for cache in caches)
