@@ -15,8 +15,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.core import protocol
-from repro.core.dataset import CertProfile, ProfileStore
-from repro.core.enrich import EnrichedConn, EnrichedDataset, _is_public
+from repro.core.dataset import CertProfile
+from repro.core.enrich import EnrichedDataset, _is_public
 from repro.core.report import Table, percentage
 from repro.text.domains import is_domain_like
 from repro.text.ner import EntityLabel, NerClassifier
@@ -511,60 +511,73 @@ def render_unidentified_breakdown(rows: list[UnidentifiedBreakdown]) -> Table:
 # ---------------------------------------------------------------------------
 
 
-class PopulationPartial(protocol.AnalysisPartial):
-    """Base for §6 analyses: rebuild the certificate-profile population
-    shard by shard, then select and count at finalize time.
+class _SelectedPartial(protocol.ProfilesPartial):
+    """A §6 table: ``select`` picks its certificates from the population,
+    ``split_roles`` and ``title`` shape its rendering."""
 
-    Subclasses set ``selector`` (profiles dict → population list) and
-    override :meth:`result` / :meth:`finalize`.
-    """
-
-    def __init__(self, context: protocol.AnalysisContext) -> None:
-        self._bundle = context.bundle
-        self.store = ProfileStore()
-
-    def update(self, conn: EnrichedConn) -> None:
-        self.store.observe(conn.view)
-
-    def merge(self, other: "PopulationPartial") -> None:
-        self.store.merge(other.store)
+    select = staticmethod(_select_mutual)
+    split_roles = True
+    title = ""
 
     def population(self) -> list[CertProfile]:
-        raise NotImplementedError
+        return self.select(self.store.profiles)
 
 
-class Table7Partial(PopulationPartial):
-    def population(self) -> list[CertProfile]:
-        return _select_mutual(self.store.profiles)
+class _UtilizationPartial(_SelectedPartial):
+    """Tables 7, 13a, 14a: CN/SAN utilization."""
 
     def result(self) -> list[UtilizationRow]:
-        return _count_utilization(self.population(), self._bundle, split_roles=True)
+        return _count_utilization(self.population(), self._bundle, self.split_roles)
 
     def finalize(self) -> Table:
-        return render_utilization(
-            self.result(), "Table 7: non-empty CN/SAN in mutual-TLS certificates"
-        )
+        return render_utilization(self.result(), self.title)
 
 
-class Table8Partial(PopulationPartial):
-    def population(self) -> list[CertProfile]:
-        return _select_mutual(self.store.profiles)
+class _InfoTypesPartial(_SelectedPartial):
+    """Tables 8, 13b, 14b: CN/SAN information types."""
 
     def result(self) -> InfoTypeMatrix:
         return _count_information_types(
-            self.population(), self._bundle, None, split_roles=True
+            self.population(), self._bundle, None, self.split_roles
         )
 
     def finalize(self) -> Table:
-        return render_information_types(
-            self.result(), "Table 8: information types in CN and SAN (mutual TLS)"
-        )
+        return render_information_types(self.result(), self.title)
 
 
-class Table9Partial(PopulationPartial):
-    def population(self) -> list[CertProfile]:
-        return _select_mutual(self.store.profiles)
+class Table7Partial(_UtilizationPartial):
+    title = "Table 7: non-empty CN/SAN in mutual-TLS certificates"
 
+
+class Table8Partial(_InfoTypesPartial):
+    title = "Table 8: information types in CN and SAN (mutual TLS)"
+
+
+class Table13aPartial(_UtilizationPartial):
+    select = staticmethod(_select_shared)
+    split_roles = False
+    title = "Table 13a: CN/SAN utilization in shared certificates"
+
+
+class Table13bPartial(_InfoTypesPartial):
+    select = staticmethod(_select_shared)
+    split_roles = False
+    title = "Table 13b: information types in shared certificates"
+
+
+class Table14aPartial(_UtilizationPartial):
+    select = staticmethod(_select_non_mutual_server)
+    split_roles = False
+    title = "Table 14a: CN/SAN utilization, non-mutual server certs"
+
+
+class Table14bPartial(_InfoTypesPartial):
+    select = staticmethod(_select_non_mutual_server)
+    split_roles = False
+    title = "Table 14b: information types, non-mutual server certs"
+
+
+class Table9Partial(_SelectedPartial):
     def result(self) -> list[UnidentifiedBreakdown]:
         return _count_unidentified(self.population(), self._bundle)
 
@@ -572,65 +585,8 @@ class Table9Partial(PopulationPartial):
         return render_unidentified_breakdown(self.result())
 
 
-class Table13aPartial(PopulationPartial):
-    def population(self) -> list[CertProfile]:
-        return _select_shared(self.store.profiles)
-
-    def result(self) -> list[UtilizationRow]:
-        return _count_utilization(self.population(), self._bundle, split_roles=False)
-
-    def finalize(self) -> Table:
-        return render_utilization(
-            self.result(), "Table 13a: CN/SAN utilization in shared certificates"
-        )
-
-
-class Table13bPartial(PopulationPartial):
-    def population(self) -> list[CertProfile]:
-        return _select_shared(self.store.profiles)
-
-    def result(self) -> InfoTypeMatrix:
-        return _count_information_types(
-            self.population(), self._bundle, None, split_roles=False
-        )
-
-    def finalize(self) -> Table:
-        return render_information_types(
-            self.result(), "Table 13b: information types in shared certificates"
-        )
-
-
-class Table14aPartial(PopulationPartial):
-    def population(self) -> list[CertProfile]:
-        return _select_non_mutual_server(self.store.profiles)
-
-    def result(self) -> list[UtilizationRow]:
-        return _count_utilization(self.population(), self._bundle, split_roles=False)
-
-    def finalize(self) -> Table:
-        return render_utilization(
-            self.result(), "Table 14a: CN/SAN utilization, non-mutual server certs"
-        )
-
-
-class Table14bPartial(PopulationPartial):
-    def population(self) -> list[CertProfile]:
-        return _select_non_mutual_server(self.store.profiles)
-
-    def result(self) -> InfoTypeMatrix:
-        return _count_information_types(
-            self.population(), self._bundle, None, split_roles=False
-        )
-
-    def finalize(self) -> Table:
-        return render_information_types(
-            self.result(), "Table 14b: information types, non-mutual server certs"
-        )
-
-
-class SanTypesPartial(PopulationPartial):
-    def population(self) -> list[CertProfile]:
-        return _select_used_in_mutual(self.store.profiles)
+class SanTypesPartial(_SelectedPartial):
+    select = staticmethod(_select_used_in_mutual)
 
     def result(self) -> SanTypeUsage:
         return _count_san_type_usage(self.population())

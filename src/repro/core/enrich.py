@@ -107,10 +107,15 @@ class EnrichedDataset:
 
     dataset: MtlsDataset
     connections: list[EnrichedConn]
-    profiles: dict[str, CertProfile]
     bundle: TrustBundle
     interception: InterceptionReport
     rules: AssociationRules
+
+    @property
+    def profiles(self) -> dict[str, CertProfile]:
+        """Unique leaf certificates with aggregated usage, built on first
+        use (the registry partials build their own; see ``ProfilesPartial``)."""
+        return self.dataset.certificate_profiles()
 
     @property
     def mutual(self) -> list[EnrichedConn]:
@@ -118,9 +123,6 @@ class EnrichedDataset:
 
     def is_public_record(self, record: X509Record) -> bool:
         return _is_public(record, self.bundle)
-
-    def mutual_profiles(self) -> dict[str, CertProfile]:
-        return {fp: p for fp, p in self.profiles.items() if p.used_in_mutual}
 
 
 def _is_public(record: X509Record, bundle: TrustBundle) -> bool:
@@ -319,7 +321,6 @@ class Enricher:
         return EnrichedDataset(
             dataset=dataset,
             connections=connections,
-            profiles=dataset.certificate_profiles(),
             bundle=self.bundle,
             interception=report,
             rules=self.rules,

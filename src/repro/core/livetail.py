@@ -52,6 +52,7 @@ from repro.core.locks import FileLock, LockTimeout
 from repro.core.enrich import AssociationRules, Enricher
 from repro.core.protocol import (
     AnalysisContext,
+    analysis_names,
     create_partials,
     get_analysis,
     load_default_analyses,
@@ -582,14 +583,11 @@ class LiveAnalysisEngine:
         self.metrics = self.analyzer.metrics
         self.enricher = self._make_enricher(rules, min_interception_domains)
         self.context = AnalysisContext(bundle=bundle, rules=self.enricher.rules)
-        self.partials = create_partials(None, self.context)
-        self._raw_names = frozenset(
-            name for name in self.partials if get_analysis(name).needs_raw
-        )
+        self.admission = admission or AdmissionController()
+        self._new_partials()
         self.scan = self.enricher.new_scan()
         self.ssl_report = IngestReport()
         self.x509_report = IngestReport()
-        self.admission = admission or AdmissionController()
         self._rendered: dict[str, dict] | None = None
         self._rebind_tables()
 
@@ -605,6 +603,19 @@ class LiveAnalysisEngine:
             min_interception_domains=min_interception_domains,
             fact_cache=cache if cache is not None else False,
         )
+
+    def _new_partials(self) -> None:
+        # Hot and cold tables come from separate `create_partials` calls:
+        # the reservoir folds into a hot table's profile store, and the
+        # query overlay copies that store together with its owner.
+        hot = self.admission.hot_tables
+        names = analysis_names()
+        partials = create_partials([n for n in names if n in hot], self.context)
+        partials.update(
+            create_partials([n for n in names if n not in hot], self.context)
+        )
+        self.partials = {name: partials[name] for name in names}
+        self._raw_names = frozenset(n for n in names if get_analysis(n).needs_raw)
 
     def _rebind_tables(self) -> None:
         self._hot = tuple(
@@ -793,14 +804,11 @@ class LiveAnalysisEngine:
         engine.context = AnalysisContext(
             bundle=bundle, rules=engine.enricher.rules
         )
-        engine.partials = create_partials(None, engine.context)
-        engine._raw_names = frozenset(
-            name for name in engine.partials if get_analysis(name).needs_raw
-        )
+        engine.admission = admission or AdmissionController()
+        engine._new_partials()
         engine.scan = engine.enricher.new_scan()
         engine.ssl_report = IngestReport()
         engine.x509_report = IngestReport()
-        engine.admission = admission or AdmissionController()
         engine._rendered = None
         extra = document.get(LIVETAIL_STATE_KEY)
         if extra is not None:

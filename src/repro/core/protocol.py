@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
+from repro.core.dataset import ProfileStore
 from repro.core.enrich import AssociationRules, InterceptionReport
 from repro.core.report import Table
 from repro.trust import TrustBundle
@@ -91,6 +92,37 @@ class AnalysisPartial:
     def finalize(self) -> Table:
         """Render the result as the paper's table/figure."""
         raise NotImplementedError
+
+
+class ProfilesPartial(AnalysisPartial):
+    """Base for the analyses that count over the certificate-profile
+    population (Tables 6, 7, 8, 9, 13a/b, 14a/b, SAN types): subclasses
+    select and count from ``store.profiles`` at finalize time.
+
+    :func:`create_partials` gives the population partials it builds one
+    shared store; the first *owns* it (folds connections in, merges it)
+    and the others only read it. A partial made by its factory alone
+    owns a private store.
+    """
+
+    #: A class-level default, so partials pickled before stores were
+    #: shared (no marker; each owned its store) still update and merge.
+    owns_store = True
+
+    def __init__(self, context: AnalysisContext) -> None:
+        self._bundle = context.bundle
+        self.store = ProfileStore()
+
+    def update(self, conn: "EnrichedConn") -> None:
+        if self.owns_store:
+            self.store.observe(conn.view)
+
+    def merge(self, other: "ProfilesPartial") -> None:
+        # ``other.store`` holds the whole population whether ``other``
+        # owns it or shares it, so owner-to-owner and old-to-new merges
+        # both fold it in exactly once.
+        if self.owns_store:
+            self.store.merge(other.store)
 
 
 @dataclass(frozen=True)
@@ -178,9 +210,14 @@ def iter_analyses() -> Iterable[Analysis]:
 def create_partials(
     names: Iterable[str] | None, context: AnalysisContext
 ) -> dict[str, AnalysisPartial]:
-    """Fresh (empty) partials for the requested analyses."""
+    """Fresh (empty) partials for the requested analyses; the population
+    partials among them share one profile store (:class:`ProfilesPartial`)."""
     selected = tuple(names) if names is not None else analysis_names()
-    return {name: get_analysis(name).factory(context) for name in selected}
+    partials = {name: get_analysis(name).factory(context) for name in selected}
+    population = [p for p in partials.values() if isinstance(p, ProfilesPartial)]
+    for sharer in population[1:]:
+        sharer.store, sharer.owns_store = population[0].store, False
+    return partials
 
 
 def update_partials(

@@ -6,6 +6,7 @@ finished archive (sampling disabled).
 """
 
 import json
+import pickle
 import threading
 
 import pytest
@@ -517,6 +518,94 @@ class TestOverloadSampling:
         # Identity-level tables kept exact rows throughout.
         stats = harness.engine.tables()["table1"]["sampling"]
         assert stats is None
+
+
+class TestPopulationTableSampling:
+    """A hot population table gets its own profile store: the cold
+    population tables stay exact through a window, a query overlay, a
+    mid-window checkpoint/restore and the close."""
+
+    COLD = ("table6", "table7", "table14b")
+
+    def _engines(self, simulation, reservoir_size):
+        admission = AdmissionController(
+            high_watermark=20, low_watermark=0,
+            reservoir_size=reservoir_size, hot_tables=("table8",),
+        )
+        sampled = LiveAnalysisEngine(simulation.trust_bundle, admission=admission)
+        exact = LiveAnalysisEngine(simulation.trust_bundle)
+        return sampled, exact
+
+    def _feed(self, engines, ssl_records, x509_records=()):
+        for engine in engines:
+            engine.feed(list(ssl_records), list(x509_records))
+
+    def _restore(self, engine, path, bundle):
+        engine.checkpoint(path, {})
+        document, _ = load_checkpoint_json(path)
+        return LiveAnalysisEngine.from_checkpoint_doc(bundle, document)
+
+    def test_hot_and_cold_population_tables_keep_separate_stores(
+        self, simulation
+    ):
+        sampled, _ = self._engines(simulation, 16)
+        hot = sampled.partials["table8"]
+        assert hot.owns_store
+        assert sampled.partials["table6"].owns_store
+        assert hot.store is not sampled.partials["table7"].store
+        assert sampled.partials["table7"].store is sampled.partials["table6"].store
+
+    def test_unevicted_window_matches_unsampled(self, simulation, tmp_path):
+        ssl = simulation.logs.ssl
+        sampled, exact = self._engines(simulation, 4096)
+        self._feed((sampled, exact), ssl[:10], simulation.logs.x509)
+        self._feed((sampled, exact), ssl[10:310])
+        assert sampled.admission.sampling
+        expected = _live_tables(exact)
+        assert _live_tables(sampled) == expected  # the query overlay
+        restored = self._restore(
+            sampled, tmp_path / "ckpt.json", simulation.trust_bundle
+        )
+        assert restored.admission.sampling
+        assert _live_tables(restored) == expected
+        self._feed((restored, exact), [])  # an empty batch closes it
+        assert not restored.admission.sampling
+        assert _live_tables(restored) == _live_tables(exact)
+        stats = restored.tables()["table8"]["sampling"]
+        assert stats["correction"] == 1.0
+
+    def test_evicting_window_samples_only_the_hot_table(
+        self, simulation, tmp_path
+    ):
+        ssl = simulation.logs.ssl
+        sampled, exact = self._engines(simulation, 16)
+        self._feed((sampled, exact), ssl[:10], simulation.logs.x509)
+        before_window = pickle.loads(pickle.dumps(sampled.partials["table8"]))
+        self._feed((sampled, exact), ssl[10:310])
+        assert sampled.admission.sampling
+
+        def expected_table8(engine):
+            partial = pickle.loads(pickle.dumps(before_window))
+            for _view, enriched in engine.admission.reservoir:
+                partial.update(enriched)
+            return partial.finalize().render()
+
+        steps = [("overlay", sampled, expected_table8(sampled))]
+        restored = self._restore(
+            sampled, tmp_path / "ckpt.json", simulation.trust_bundle
+        )
+        steps.append(("restored", restored, expected_table8(restored)))
+        closing = expected_table8(restored)
+        self._feed((restored, exact), [])
+        assert not restored.admission.sampling
+        steps.append(("closed", restored, closing))
+        for step, engine, table8 in steps:
+            tables = _live_tables(engine)
+            reference = _live_tables(exact)
+            for name in self.COLD:
+                assert tables[name] == reference[name], (step, name)
+            assert tables["table8"] == table8, step
+            assert tables["table8"] != reference["table8"], step
 
 
 class TestDaemonLoop:

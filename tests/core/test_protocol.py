@@ -177,3 +177,166 @@ class TestMergeEquivalence:
                 analysis, context, connections, raw, splits, order
             )
             assert _finalized(shuffled) == _finalized(sequential), analysis.name
+
+
+# ---------------------------------------------------------------------------
+# Whole-registry partial sets: one profile store shared per set
+# ---------------------------------------------------------------------------
+
+
+def _population(partials):
+    return [
+        p for p in partials.values() if isinstance(p, protocol.ProfilesPartial)
+    ]
+
+
+def _chunks(items, bounds):
+    edges = [0, *bounds, len(items)]
+    return [items[edges[i]:edges[i + 1]] for i in range(len(edges) - 1)]
+
+
+def _shard_sets(context, connections, raw_views, splits, *, shape="new"):
+    """One partial set per shard of a split stream, each pickled and
+    unpickled as if it came back from a worker or a spill.
+
+    ``shape="new"`` builds each set with :func:`protocol.create_partials`
+    (one shared store per set); ``shape="old"`` builds every partial by
+    its own factory, as sets built before stores were shared were: each
+    population partial owns a private store and carries no owner marker.
+    """
+    raw_splits = [s * len(raw_views) // max(1, len(connections)) for s in splits]
+    sets = []
+    for chunk, raw_chunk in zip(
+        _chunks(connections, splits), _chunks(raw_views, raw_splits)
+    ):
+        if shape == "new":
+            partials = protocol.create_partials(None, context)
+        else:
+            partials = {
+                analysis.name: analysis.factory(context)
+                for analysis in protocol.iter_analyses()
+            }
+        protocol.update_partials(partials, chunk, raw_chunk)
+        sets.append(pickle.loads(pickle.dumps(partials)))
+    return sets
+
+
+def _merged(sets, order):
+    ordered = [sets[i] for i in order]
+    into = ordered[0]
+    for other in ordered[1:]:
+        protocol.merge_partials(into, other)
+    return into
+
+
+def _tables(partials):
+    return {name: _finalized(partial) for name, partial in partials.items()}
+
+
+@pytest.fixture(scope="module")
+def sequential(context, small_result):
+    """Every table from one partial set fed the whole stream."""
+    partials = protocol.create_partials(None, context)
+    protocol.update_partials(
+        partials, small_result.enriched.connections,
+        small_result.dataset.connections,
+    )
+    return _tables(partials)
+
+
+def _splits(data, connections, max_chunks=5):
+    n_chunks = data.draw(st.integers(min_value=2, max_value=max_chunks))
+    splits = sorted(data.draw(st.lists(
+        st.integers(min_value=0, max_value=len(connections)),
+        min_size=n_chunks - 1, max_size=n_chunks - 1,
+    )))
+    order = list(range(n_chunks))
+    random.Random(data.draw(st.integers(0, 2**16))).shuffle(order)
+    return splits, order
+
+
+class TestSharedStoreMerge:
+    """Partial sets from `create_partials` share one profile store; any
+    split, merge order and pickle round trip still equals one pass."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_random_splits_orders_and_pickles(
+        self, data, context, small_result, sequential
+    ):
+        connections = small_result.enriched.connections
+        splits, order = _splits(data, connections)
+        sets = _shard_sets(
+            context, connections, small_result.dataset.connections, splits
+        )
+        merged = _merged(sets, order)
+        assert _tables(merged) == sequential
+        population = _population(merged)
+        assert len({id(p.store) for p in population}) == 1
+        # No table reads connection_count, so compare the store itself:
+        # merging it once per sharer would double every count here.
+        whole = small_result.enriched.dataset.certificate_profiles()
+        store = population[0].store.profiles
+        assert store.keys() == whole.keys()
+        for fingerprint, expected in whole.items():
+            got = store[fingerprint]
+            for name in (
+                "record", "used_as_server", "used_as_client", "used_in_mutual",
+                "first_seen", "last_seen", "connection_count",
+                "server_subnets", "client_subnets", "client_ips",
+            ):
+                assert getattr(got, name) == getattr(expected, name), (
+                    fingerprint, name,
+                )
+
+
+class TestPreSharingCompatibility:
+    """Sets and pickles made before stores were shared (every population
+    partial owns its store, no owner marker): `--resume` over old
+    manifest spills, live-tail checkpoints and streaming snapshots."""
+
+    @pytest.mark.parametrize("old_first", [True, False])
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_old_and_new_sets_merge_both_ways(
+        self, data, old_first, context, small_result, sequential
+    ):
+        connections = small_result.enriched.connections
+        raw = small_result.dataset.connections
+        splits, _ = _splits(data, connections, max_chunks=4)
+        new = _shard_sets(context, connections, raw, splits)
+        old = _shard_sets(context, connections, raw, splits, shape="old")
+        # Alternate shapes shard by shard, so an old set merges a new
+        # one and a new set merges an old one.
+        sets = [
+            (old if (i % 2 == 0) == old_first else new)[i]
+            for i in range(len(new))
+        ]
+        assert _tables(_merged(sets, range(len(sets)))) == sequential
+
+    def test_old_pickle_unpickles_and_finalizes(self, context, small_result):
+        """A partial pickled before sharing carries only its store (and,
+        for the §6 tables, the bundle): no owner marker in its state."""
+        connections = small_result.enriched.connections
+        mid = len(connections) // 2
+        for partial in _population(protocol.create_partials(None, context)):
+            cls = type(partial)
+            reference = cls(context)
+            for conn in connections:
+                reference.update(conn)
+            old = cls.__new__(cls)
+            old.__dict__["store"] = cls(context).store
+            if cls.__name__ != "Table6Partial":
+                old.__dict__["_bundle"] = context.bundle
+            for conn in connections[:mid]:
+                old.update(conn)
+            clone = pickle.loads(pickle.dumps(old))
+            assert "owns_store" not in vars(clone)
+            assert clone.owns_store
+            assert _finalized(clone) == _finalized(old)
+            # It still folds rows and merges after the round trip.
+            rest = cls(context)
+            for conn in connections[mid:]:
+                rest.update(conn)
+            clone.merge(pickle.loads(pickle.dumps(rest)))
+            assert _finalized(clone) == _finalized(reference), cls.__name__
